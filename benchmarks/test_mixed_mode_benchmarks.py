@@ -1,19 +1,14 @@
-"""Benchmarks regenerating the mixed-mode runtime ablation (zero-copy
-intra-node fast path, hierarchical collectives, node-aware slab routing).
+"""Benchmark regenerating the mixed-mode topology study (hierarchical
+collectives, node-aware slab routing).
 
-The drivers assert their own acceptance criteria: zero-copy results are
-byte-identical to the message path and at least 2x cheaper in simulated
-time on the intra-node-heavy 8-cores-per-node workload; the two-level
-collective tree never costs more than the flat one and matches it exactly
-with one core per node.
+The driver asserts its own acceptance criteria: the two-level collective
+tree never costs more than the flat one and matches it exactly with one
+core per node, and node-aware routing cuts the exchange's physical
+messages under packed placement.
 """
 
 import repro.evaluation as ev
 from benchmarks.conftest import run_and_report
-
-
-def test_mixed_mode_zero_copy_ablation(benchmark):
-    run_and_report(benchmark, ev.mixed_mode_study, P=8, n_per_loc=2000)
 
 
 def test_mixed_mode_topology(benchmark):

@@ -202,9 +202,9 @@ class Paragraph(PObject):
         self._sent = 0
         self._received = 0
         # fields must exist before collective_register publishes this
-        # representative: with the zero-copy fast path a peer that finished
-        # construction can deliver a _dependence RMI eagerly while we are
-        # still inside the registration collective.
+        # representative: on a real backend a peer that finished
+        # construction can deliver a _dependence RMI while we are still
+        # inside the registration collective (its wait services requests).
         super().__init__(ctx, group)
 
     # -- graph construction ----------------------------------------------

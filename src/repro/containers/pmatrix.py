@@ -17,7 +17,6 @@ from ..core.partitions import Matrix2DPartition
 from ..core.pcontainer import SLAB_ACCESS_FACTOR, PContainerIndexed
 from ..core.redistribution import RedistributableMixin
 from ..core.traits import Traits
-from ..runtime.comm import mp_zero_copy_enabled
 
 
 def default_grid(p: int) -> tuple:
@@ -129,8 +128,7 @@ class PMatrix(RedistributableMixin, PContainerIndexed):
                    * (r1 - r0) * (c1 - c0))
         bc = self.location_manager.get_bcontainer(bcid)
         rt = self.runtime
-        if (not rt.shared_address_space and mp_zero_copy_enabled()
-                and rt.current_origin != self.here.id):
+        if not rt.shared_address_space and rt.current_origin != self.here.id:
             # cross-process bulk reply: same zero-copy seam as
             # PContainer._bulk_get_range (see there for the safety rules)
             ref = getattr(bc, "get_block_ref", None)

@@ -28,11 +28,8 @@ holds the GID, the receiver re-forwards through the authoritative directory
 with the cache bypassed — a bounded chain counted in ``stale_redirects``.
 
 Mixed-mode locality: when the owner is *not* this location, the shipped
-request is still locality-aware one layer down — destinations on the same
-node take the runtime's zero-copy fast path (when enabled) instead of being
-marshaled, and ``combine_rmi`` refuses to buffer ops bound for such
-destinations (direct execution beats batching when no message would be
-saved), falling back to the plain async send below.
+request is still locality-aware one layer down — a destination on the same
+node is charged intra-node latency and byte costs.
 """
 
 from __future__ import annotations

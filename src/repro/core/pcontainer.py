@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.comm import mp_zero_copy_enabled
 from ..runtime.p_object import PObject
 from .distribution import ASYNC, SYNC, DataDistributionManager
 from .domains import RangeDomain
@@ -414,10 +413,9 @@ class PContainerIndexed(PContainerStatic):
     # RMI per element (the aggregation story of Ch. III.B applied at the
     # container interface).  Remote pieces ride the runtime's bulk RMIs, so
     # they inherit mixed-mode locality for free: a same-node owner serves
-    # the slab over the zero-copy fast path (no serialization, t_lock only)
-    # when it is enabled.  Either way the bContainer range accessors return
-    # *copies* — a zero-copy read must not alias owner storage, or a remote
-    # caller could mutate it with no charged communication.
+    # the slab at intra-node rates.  The bContainer range accessors return
+    # *copies* — a read must not alias owner storage, or a remote caller
+    # could mutate it with no charged communication.
 
     def _check_range(self, lo: int, hi: int) -> None:
         """Reject ranges outside the container's domain — a silent partial
@@ -518,8 +516,7 @@ class PContainerIndexed(PContainerStatic):
         self.location_manager.note_access(bcid, hi - lo)
         bc = self.location_manager.get_bcontainer(bcid)
         rt = self.runtime
-        if (not rt.shared_address_space and mp_zero_copy_enabled()
-                and rt.current_origin != self.here.id):
+        if not rt.shared_address_space and rt.current_origin != self.here.id:
             # cross-process bulk reply: ship a read-only view so the
             # transport can pass a slab reference into live storage with
             # no sender-side copy.  Sound under the epoch discipline every

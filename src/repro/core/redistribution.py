@@ -14,8 +14,7 @@ slabs and 2D sub-blocks as dense blocks, so each (src, dst) pair pays for
 one physical message plus its payload bytes instead of one RMI per element.
 The exchange is node-aware: slabs bound for several locations on one remote
 node ride a single coalesced inter-node message (scattered by the node
-leader), and same-node slabs move through shared memory when the zero-copy
-fast path is on.
+leader), and same-node slabs pay intra-node rates.
 
 Every committed redistribution bumps the container's distribution epoch,
 invalidating per-location lookup caches and the views' native-chunk lists.

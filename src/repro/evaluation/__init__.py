@@ -7,12 +7,7 @@ from .ablations import (
     ablation_view_alignment,
 )
 from .assoc_figs import fig59_mapreduce_wordcount, fig60_assoc_algorithms
-from .backend_figs import (
-    backend_scaling_study,
-    backend_speedup,
-    backend_zero_copy_study,
-    shm_threshold_sweep_study,
-)
+from .backend_figs import backend_scaling_study, backend_speedup
 from .bench import (
     bench_ablation_suite,
     bench_payload,
@@ -33,7 +28,7 @@ from .migration_figs import (
     migration_graph_study,
     migration_skew_study,
 )
-from .mixed_mode_figs import mixed_mode_study, mixed_mode_topology_study
+from .mixed_mode_figs import mixed_mode_topology_study
 from .nested_figs import (nested_backend_study, nested_groups_study,
                           nested_study)
 from .paragraph_figs import (

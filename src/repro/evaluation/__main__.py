@@ -22,7 +22,6 @@ from . import (
     ablation_lazy_size,
     ablation_view_alignment,
     backend_scaling_study,
-    backend_zero_copy_study,
     bench_ablation_suite,
     bench_suite,
     bench_sweep_suite,
@@ -58,14 +57,12 @@ from . import (
     migration_backend_study,
     migration_graph_study,
     migration_skew_study,
-    mixed_mode_study,
     mixed_mode_topology_study,
     nested_backend_study,
     nested_groups_study,
     nested_study,
     paragraph_backend_study,
     paragraph_study,
-    shm_threshold_sweep_study,
     sort_transport_study,
 )
 
@@ -96,12 +93,9 @@ DRIVERS = {
     "mcm": mcm_demonstrations,
     "mcm_mp": consistency_backend_study,
     "backend": backend_scaling_study,
-    "backend_zero_copy": backend_zero_copy_study,
-    "shm_threshold": shm_threshold_sweep_study,
     "bulk_transport": bulk_transport_study,
     "combining": combining_study,
     "combining_containers": combining_containers_study,
-    "mixed_mode": mixed_mode_study,
     "mixed_mode_topology": mixed_mode_topology_study,
     "migration": migration_skew_study,
     "migration_graph": migration_graph_study,

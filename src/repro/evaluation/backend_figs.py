@@ -27,12 +27,7 @@ import time
 
 import numpy as np
 
-from ..runtime import (
-    set_mp_zero_copy,
-    set_shm_slab_threshold,
-    spmd_run,
-    spmd_run_detailed,
-)
+from ..runtime import spmd_run, spmd_run_detailed
 from .harness import ExperimentResult
 
 #: strong-scaling total work, divisible by every P in the sweep
@@ -123,143 +118,3 @@ def backend_speedup(result: ExperimentResult, kernel: str, p: int) -> float:
             return speedup
     raise KeyError(f"no row for kernel={kernel!r} P={p}")
 
-
-# ---------------------------------------------------------------------------
-# Zero-copy vs copy-out transport comparison
-# ---------------------------------------------------------------------------
-
-#: zero-copy comparison defaults: big slabs so transport memcpys dominate
-_ZC_ROUNDS = 6
-_ZC_SLAB_ELEMS = 131072  # 1 MiB of float64 per slab
-_ZC_RATIO_BAR = 1.5
-
-
-def _zc_latency_kernel(ctx, rounds, slab_elems):
-    """The slab-heavy latency kernel with stall=0 and a self-timed region.
-
-    Process startup is identical under both transport modes, so timing
-    inside the worker isolates exactly what the comparison is about: the
-    per-slab create/memcpy/copy-out/unlink cost the arena + zero-copy
-    receive path removes."""
-    t0 = time.perf_counter()
-    acc = 0.0
-    for r in range(rounds):
-        slab = np.full(slab_elems, float(ctx.id * rounds + r))
-        got = ctx.bulk_gather(slab)
-        acc += sum(float(g[0]) for g in got)
-    ctx.rmi_fence()
-    return acc, time.perf_counter() - t0
-
-
-def _zc_accs(results) -> list:
-    return [r[0] for r in results]
-
-
-def _zc_wall(nlocs, rounds, slab_elems, zero_copy: bool, reps: int = 2):
-    """(min-of-k max-over-locations kernel wall, stats of the best rep)
-    under the requested transport mode."""
-    prev = set_mp_zero_copy(zero_copy)
-    try:
-        best_wall, best_stats = None, None
-        for _ in range(reps):
-            rep = spmd_run_detailed(
-                _zc_latency_kernel, nlocs=nlocs, args=(rounds, slab_elems),
-                backend="multiprocessing", timeout=300.0)
-            wall = max(r[1] for r in rep.results)
-            if best_wall is None or wall < best_wall:
-                best_wall, best_stats = wall, rep.stats.total
-        return best_wall, best_stats
-    finally:
-        set_mp_zero_copy(prev)
-
-
-def backend_zero_copy_study(rounds: int = _ZC_ROUNDS,
-                            slab_elems: int = _ZC_SLAB_ELEMS,
-                            p_sweep=(2, 8),
-                            ratio_bar: float = _ZC_RATIO_BAR
-                            ) -> ExperimentResult:
-    """Wall-clock comparison of the two mp slab transports.
-
-    ``copy_out`` is the legacy lifecycle (fresh segment + memcpy in,
-    copy + unlink out, per slab per destination); ``zero_copy`` is the
-    arena path (warm pooled segments, multicast packed once, read-only
-    views on the receiver).  The study first certifies the three modes —
-    simulated, copy-out, zero-copy — produce identical reduced results,
-    then asserts zero-copy is at least ``ratio_bar`` times faster at the
-    largest swept P (the acceptance bar)."""
-    result = ExperimentResult(
-        name="Zero-copy vs copy-out: mp slab transport wall-clock",
-        columns=["P", "copy_out_wall_s", "zero_copy_wall_s", "ratio",
-                 "segs_created", "segs_reused", "zc_views"])
-
-    # three-mode identity: the transport under comparison must not change
-    # a single answer
-    check_args = (3, slab_elems)
-    sim = _zc_accs(spmd_run(_zc_latency_kernel, nlocs=2, args=check_args,
-                            backend="simulated"))
-    prev = set_mp_zero_copy(False)
-    try:
-        copy_out = _zc_accs(spmd_run(
-            _zc_latency_kernel, nlocs=2, args=check_args,
-            backend="multiprocessing", timeout=300.0))
-    finally:
-        set_mp_zero_copy(prev)
-    prev = set_mp_zero_copy(True)
-    try:
-        zero_copy = _zc_accs(spmd_run(
-            _zc_latency_kernel, nlocs=2, args=check_args,
-            backend="multiprocessing", timeout=300.0))
-    finally:
-        set_mp_zero_copy(prev)
-    if not (sim == copy_out == zero_copy):
-        raise AssertionError(
-            f"transport-mode divergence: sim={sim} copy_out={copy_out} "
-            f"zero_copy={zero_copy}")
-
-    top_ratio = None
-    for p in p_sweep:
-        copy_wall, _ = _zc_wall(p, rounds, slab_elems, zero_copy=False)
-        zc_wall, zc_stats = _zc_wall(p, rounds, slab_elems, zero_copy=True)
-        ratio = copy_wall / zc_wall if zc_wall else float("inf")
-        result.add(p, round(copy_wall, 4), round(zc_wall, 4),
-                   round(ratio, 2), zc_stats.shm_segments_created,
-                   zc_stats.shm_segments_reused,
-                   zc_stats.zero_copy_slab_views)
-        if p == max(p_sweep):
-            top_ratio = ratio
-    if top_ratio is not None and top_ratio < ratio_bar:
-        raise AssertionError(
-            f"zero-copy transport only {top_ratio:.2f}x faster than "
-            f"copy-out at P={max(p_sweep)} (bar: {ratio_bar}x)")
-    result.notes = (
-        f"slab-heavy latency kernel, stall=0, {rounds} gather rounds of "
-        f"{slab_elems} float64 per location; kernel-region wall seconds "
-        "(startup excluded — identical across modes); acceptance bar "
-        f">={ratio_bar}x at P={max(p_sweep)}")
-    return result
-
-
-def shm_threshold_sweep_study(thresholds=(1024, 32768, 1 << 20),
-                              rounds: int = 4, slab_elems: int = 2048,
-                              nlocs: int = 4) -> ExperimentResult:
-    """Wall-clock sweep of the ShmSlab eligibility threshold.
-
-    ``slab_elems`` float64 slabs are 16 KiB: the low threshold routes
-    them through shared memory, the high ones through the pipe — the
-    tradeoff the 2 KiB default was eyeballed against, now measured."""
-    result = ExperimentResult(
-        name="ShmSlab threshold sweep: shared-memory vs pipe transport",
-        columns=["threshold", "wall_s", "via_shm"])
-    slab_bytes = slab_elems * 8
-    for threshold in thresholds:
-        prev = set_shm_slab_threshold(threshold)
-        try:
-            wall, _ = _zc_wall(nlocs, rounds, slab_elems, zero_copy=True)
-        finally:
-            set_shm_slab_threshold(prev)
-        result.add(threshold, round(wall, 4), slab_bytes >= threshold)
-    result.notes = (
-        f"latency kernel, {rounds} gather rounds of {slab_elems} float64 "
-        f"({slab_bytes} B) at P={nlocs}; thresholds above the slab size "
-        "fall back to pickled pipe transport")
-    return result

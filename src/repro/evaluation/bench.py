@@ -16,9 +16,7 @@ increase, on any kernel at any coordinate fails the check with a
 readable delta table and a non-zero exit.  CI runs this on every PR
 (the ``perf-gate`` job), so the trajectory is a merge-blocking contract
 rather than an artifact humans might inspect.  Legitimate perf changes
-refresh the baseline with ``--update-baseline``; pre-v2 snapshots (the
-flat v1 ``kernels`` layout) are still accepted as comparison baselines
-so the trajectory across old PRs is not broken.
+refresh the baseline with ``--update-baseline``.
 
 Every kernel is deterministic — identical inputs, virtual clocks from
 the machine model — so two runs of the same tree produce byte-identical
@@ -67,7 +65,6 @@ TOLERANCES = {
 #: run flips exactly one toggle off its default and restores afterwards.
 ABLATIONS = {
     "combining_off": ("combining", False),
-    "zero_copy_on": ("zero_copy", True),
     "lookup_cache_off": ("lookup_cache", False),
     "dataflow_off": ("dataflow", False),
 }
@@ -280,42 +277,16 @@ def _summarize(payload: dict) -> dict:
     return summary
 
 
-def _backend_wall_section() -> dict:
-    """Measured wall-clock comparison of the mp slab transports plus the
-    ShmSlab threshold sweep.  Real seconds on whatever host ran the bench
-    — machine-dependent and noisy by nature, so this section is recorded
-    for the artifact but deliberately NOT gated: ``_flatten`` only reads
-    the deterministic simulated sections, and ``_baseline_sections``
-    never re-measures it under ``--check``."""
-    from .backend_figs import backend_zero_copy_study, shm_threshold_sweep_study
-
-    zc = backend_zero_copy_study()
-    sweep = shm_threshold_sweep_study()
-    return {
-        "zero_copy_vs_copy_out": {
-            str(p): {"copy_out_wall_s": cw, "zero_copy_wall_s": zw,
-                     "ratio": ratio, "segs_created": created,
-                     "segs_reused": reused, "zc_views": views}
-            for p, cw, zw, ratio, created, reused, views in zc.rows},
-        "shm_threshold_sweep": {
-            str(t): {"wall_s": w, "via_shm": shm}
-            for t, w, shm in sweep.rows},
-    }
-
-
 def bench_payload(machine: str = "cray4", generated: str = "",
                   snapshot=(8, 2048),
                   strong=(DEFAULT_P_LIST, 16384),
                   weak=(DEFAULT_P_LIST, 2048),
-                  ablations=(8, 2048),
-                  backend_wall: bool = False) -> dict:
+                  ablations=(8, 2048)) -> dict:
     """The schema-v2 JSON payload.  Each section argument is either its
     config tuple — ``snapshot``/``ablations`` take ``(P, n_per_loc)``,
     ``strong`` takes ``(p_list, N)``, ``weak`` takes ``(p_list,
     n_per_loc)`` — or ``None`` to omit the section (``--check`` uses this
-    to re-measure only what a baseline records).  ``backend_wall=True``
-    additionally records the measured (real-seconds, un-gated)
-    multiprocessing transport comparison section."""
+    to re-measure only what a baseline records)."""
     payload = {"schema_version": SCHEMA_VERSION, "generated": generated,
                "machine": machine}
     if snapshot is not None:
@@ -350,8 +321,6 @@ def bench_payload(machine: str = "cray4", generated: str = "",
         abl = bench_ablation_suite(P, npl, machine)
         payload["ablations"] = {"P": P, "n_per_loc": npl,
                                 **_ablation_section(abl)}
-    if backend_wall:
-        payload["backend_wall"] = _backend_wall_section()
     summary = _summarize(payload)
     if summary:
         payload["summary"] = summary
@@ -378,23 +347,16 @@ class BaselineError(Exception):
 
 def _flatten(payload: dict) -> dict:
     """``{(coordinate, kernel): metrics}`` for every measured point in a
-    v1 or v2 payload.  Coordinates: ``snapshot``, ``strong/P=4``,
-    ``weak/P=8``, ``ablation/combining_off`` ..."""
+    payload.  Coordinates: ``snapshot``, ``strong/P=4``, ``weak/P=8``,
+    ``ablation/combining_off`` ..."""
     if not isinstance(payload, dict):
         raise BaselineError("baseline is not a JSON object")
     coords = {}
-    version = payload.get("schema_version", 1)
-    if version == 1:
-        kernels = payload.get("kernels")
-        if not isinstance(kernels, dict) or not kernels:
-            raise BaselineError("v1 baseline has no 'kernels' table")
-        for name, m in kernels.items():
-            coords[("snapshot", name)] = m
-        return coords
+    version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise BaselineError(
             f"unsupported schema_version {version!r} "
-            f"(this tree reads v1 and v{SCHEMA_VERSION})")
+            f"(this tree reads v{SCHEMA_VERSION})")
     snap = payload.get("snapshot")
     if snap:
         for name, m in snap["kernels"].items():
@@ -511,10 +473,6 @@ def _load_baseline(path: str) -> dict:
 def _baseline_sections(baseline: dict) -> dict:
     """Recover :func:`bench_payload` section kwargs from a baseline, so
     ``--check`` re-measures exactly the coordinates it records."""
-    if baseline.get("schema_version", 1) == 1:
-        return {"snapshot": (baseline.get("P", 8),
-                             baseline.get("n_per_loc", 2048)),
-                "strong": None, "weak": None, "ablations": None}
     sections = {"snapshot": None, "strong": None, "weak": None,
                 "ablations": None}
     if "snapshot" in baseline:
@@ -553,8 +511,7 @@ def update_baseline(path: str, machine: str | None = None,
     except BaselineError:
         baseline = {}
     else:
-        if baseline.get("schema_version", 1) == SCHEMA_VERSION:
-            sections = _baseline_sections(baseline)
+        sections = _baseline_sections(baseline)
     machine = machine or baseline.get("machine", "cray4")
     return write_bench(path, machine=machine, generated=generated,
                        **sections)
@@ -579,9 +536,6 @@ def main(argv=None) -> int:
     machine = popval("--machine")
     check = popval("--check")
     update = popval("--update-baseline")
-    backend_wall = "--backend-wall" in args
-    if backend_wall:
-        args.remove("--backend-wall")
     date = datetime.date.today().isoformat()
     try:
         if check is not None:
@@ -595,11 +549,10 @@ def main(argv=None) -> int:
         print(f"perf gate: bad baseline — {e}", file=sys.stderr)
         return 2
     path = args[0] if args else f"BENCH_{date}.json"
-    payload = write_bench(path, machine=machine or "cray4", generated=date,
-                          backend_wall=backend_wall)
+    payload = write_bench(path, machine=machine or "cray4", generated=date)
     n_kernels = len(payload.get("snapshot", {}).get("kernels", {}))
-    sections = [k for k in ("snapshot", "strong", "weak", "ablations",
-                            "backend_wall") if k in payload]
+    sections = [k for k in ("snapshot", "strong", "weak", "ablations")
+                if k in payload]
     print(f"[bench: {n_kernels} kernels, sections {sections} "
           f"on {payload['machine']} -> {path}]")
     return 0

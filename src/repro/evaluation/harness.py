@@ -57,12 +57,12 @@ class ExperimentResult:
 
 
 def run_spmd_report(fn, nlocs: int, machine="cray4", args: tuple = (),
-                    placement: str = "packed", backend: str | None = None,
+                    placement: str = "packed", backend: str = "simulated",
                     **backend_opts):
     """Run an SPMD program and return the full :class:`SpmdReport`
     (results, virtual clocks, stats, wall-clock seconds, backend name).
 
-    ``backend=None`` uses the deterministic simulator; figure drivers pass
+    The default is the deterministic simulator; figure drivers pass
     ``backend="multiprocessing"`` to run the same program on real OS
     processes and report wall-clock time next to the virtual clocks."""
     return spmd_run_detailed(fn, nlocs=nlocs, machine=machine, args=args,
@@ -71,7 +71,7 @@ def run_spmd_report(fn, nlocs: int, machine="cray4", args: tuple = (),
 
 
 def run_spmd_timed(fn, nlocs: int, machine="cray4", args: tuple = (),
-                   placement: str = "packed", backend: str | None = None,
+                   placement: str = "packed", backend: str = "simulated",
                    **backend_opts):
     """Run an SPMD program and return (per-location results, max virtual
     clock in us, aggregate stats)."""

@@ -1,20 +1,11 @@
-"""Mixed-mode runtime study: zero-copy intra-node fast path + hierarchical
-collectives + node-aware slab routing.
+"""Mixed-mode topology study: hierarchical collectives + node-aware slab
+routing.
 
 Not a paper figure — it isolates the node-topology half of the runtime the
 way ``bulk_figs`` isolates slab aggregation and ``combining_figs`` isolates
 combining.  The paper's runtime is mixed-mode (shared memory within a node,
 MPI across nodes; Ch. III.B), and its scalability hinges on intra-node
-traffic being far cheaper than the network: BCL-style direct local access
-predicts that an intra-node-heavy workload pays for locks and memory, not
-for marshaling and messages.
-
-``mixed_mode_study`` runs a mixed RMI workload (async writes, sync reads,
-combining accumulates, one slab fetch) where every location talks only to a
-neighbour *on its own node*, with the zero-copy fast path off (pure message
-path) and on.  It asserts the two modes produce byte-identical results and
-that zero-copy cuts simulated time by at least 2x on the intra-node-heavy
-8-cores-per-node configuration.
+traffic being far cheaper than the network.
 
 ``mixed_mode_topology_study`` tabulates the two-level collective tree
 against the flat ``alpha * ceil(log2 P) + beta`` model and measures the
@@ -24,105 +15,8 @@ each machine model.
 
 from __future__ import annotations
 
-from ..containers.associative import PHashMap
-from ..containers.parray import PArray
-from ..runtime.comm import set_zero_copy
 from ..runtime.machine import get_machine
-from ..workloads.corpus import owner_keyed_vocabulary
 from .harness import ExperimentResult, run_spmd_timed
-
-
-def _intra_node_peer(lid: int, cores_per_node: int, nlocs: int) -> int:
-    """Next location on the same node (ring within the node)."""
-    node = lid // cores_per_node
-    width = min(cores_per_node, nlocs - node * cores_per_node)
-    return node * cores_per_node + (lid - node * cores_per_node + 1) % width
-
-
-def mixed_mode_study(P: int = 8, n_per_loc: int = 2000,
-                     machine: str = "cray5") -> ExperimentResult:
-    """Zero-copy vs. message path on an intra-node-heavy workload.
-
-    Default configuration: 8 locations on the CRAY XT5 model (8 cores per
-    node), so every RMI stays inside one node.  The driver raises if the
-    two modes disagree on any result or if zero-copy does not cut the
-    simulated time by at least 2x.
-    """
-    m = get_machine(machine)
-    cpn = m.cores_per_node
-    n_block = max(64, n_per_loc // 8)
-    # hash-partitioned keys land on arbitrary locations, so the accumulate
-    # phase draws from per-owner key buckets to stay on the neighbour
-    buckets = owner_keyed_vocabulary(P, 97)
-
-    def prog(ctx):
-        pa = PArray(ctx, ctx.nlocs * n_block, dtype=int)
-        hm = PHashMap(ctx)
-        ctx.rmi_fence()
-        peer = _intra_node_peer(ctx.id, cpn, ctx.nlocs)
-        base = peer * n_block
-        msgs0 = ctx.stats.physical_messages
-        t0 = ctx.start_timer()
-        # async writes into the same-node neighbour's block (single writer
-        # per block: the intra-node ring predecessor)
-        for i in range(n_per_loc):
-            pa.set_element(base + i % n_block, ctx.id * n_per_loc + i)
-        # sync reads of the values just written (source FIFO makes these
-        # read-your-writes in both modes)
-        acc = 0
-        for i in range(0, n_per_loc, 4):
-            acc += int(pa.get_element(base + i % n_block))
-        # combining-eligible accumulates onto neighbour-owned keys
-        words = buckets[peer]
-        for i in range(n_per_loc // 2):
-            hm.accumulate(words[i % len(words)], 1)
-        # one slab fetch of the neighbour block
-        slab = pa.get_range(base, base + n_block)
-        ctx.rmi_fence()
-        t = ctx.stop_timer(t0)
-        op_msgs = ctx.stats.physical_messages - msgs0
-        outcome = (list(pa.get_range(0, ctx.nlocs * n_block)),
-                   sorted(hm.to_dict().items()), [int(v) for v in slab], acc)
-        return t, op_msgs, outcome
-
-    res = ExperimentResult(
-        "Mixed-mode ablation: zero-copy intra-node fast path vs message path",
-        ["mode", "N_ops", "time_us", "op_msgs", "local_node_rmis",
-         "MB_sent", "MB_avoided"],
-        notes=f"{machine}, P={P}, op phase all intra-node "
-              f"({cpn} cores/node); on: same-node RMIs execute directly "
-              "against the destination bContainer under t_lock; off: every "
-              "RMI is marshaled and charged as a message")
-
-    outcome = {}
-    for label, on in (("zero_copy", True), ("messages", False)):
-        prev = set_zero_copy(on)
-        try:
-            results, _, stats = run_spmd_timed(prog, P, machine)
-        finally:
-            set_zero_copy(prev)
-        outcome[label] = (max(r[0] for r in results),
-                          sum(r[1] for r in results), results[0][2])
-        res.add(label, (n_per_loc * 2 + n_per_loc // 4 + 2) * P,
-                outcome[label][0], outcome[label][1],
-                stats.local_node_invocations, stats.bytes_sent / 1e6,
-                stats.bytes_avoided / 1e6)
-
-    if outcome["zero_copy"][2] != outcome["messages"][2]:
-        raise AssertionError(
-            "zero-copy changed the results (expected byte-identical to the "
-            "message path)")
-    if outcome["zero_copy"][1] != 0:
-        raise AssertionError(
-            f"zero-copy op phase sent {outcome['zero_copy'][1]} physical "
-            "messages (expected none: every destination is on-node)")
-    ratio = outcome["messages"][0] / max(1e-9, outcome["zero_copy"][0])
-    res.notes += f"; time ratio messages/zero_copy = {ratio:.1f}x"
-    if ratio < 2.0:
-        raise AssertionError(
-            f"mixed-mode ablation: zero-copy only {ratio:.1f}x faster on the "
-            "intra-node-heavy workload (expected >= 2x)")
-    return res
 
 
 def mixed_mode_topology_study(

@@ -45,7 +45,7 @@ def _scrambled(i):
 
 def paragraph_study(P: int = 8, n_per_loc: int = 4000,
                     machine: str = "cray4",
-                    backend: str | None = None) -> ExperimentResult:
+                    backend: str = "simulated") -> ExperimentResult:
     """Multi-phase sort + scan workload, data-flow executor on vs off.
 
     Raises if the two modes disagree on any output array, if the baseline

@@ -10,21 +10,12 @@ from .comm import (
     Network,
     TransportBackend,
     apply_toggles,
-    available_backends,
     combining_enabled,
     combining_window,
-    current_backend,
     estimate_size,
-    mp_zero_copy_enabled,
-    set_backend,
     set_combining,
     set_combining_window,
-    set_mp_zero_copy,
-    set_shm_slab_threshold,
-    set_zero_copy,
-    shm_slab_threshold,
     snapshot_toggles,
-    zero_copy_enabled,
 )
 from .future import Future, pc_future
 from .machine import CRAY4, CRAY5, MACHINES, P5_CLUSTER, SMP, MachineModel, get_machine
@@ -60,22 +51,13 @@ __all__ = [
     "SpmdReport",
     "TransportBackend",
     "apply_toggles",
-    "available_backends",
     "combining_enabled",
     "combining_window",
-    "current_backend",
     "estimate_size",
     "get_machine",
-    "mp_zero_copy_enabled",
-    "set_backend",
     "set_combining",
     "snapshot_toggles",
     "set_combining_window",
-    "set_mp_zero_copy",
-    "set_shm_slab_threshold",
-    "set_zero_copy",
-    "shm_slab_threshold",
-    "zero_copy_enabled",
     "pc_future",
     "spmd_run",
     "spmd_run_detailed",

@@ -33,7 +33,6 @@ head-to-head.
 from __future__ import annotations
 
 import abc
-import os
 from itertools import islice
 from collections import deque
 
@@ -47,76 +46,6 @@ _DEFAULT_SIZE = 64
 #: per (destination, handle) and flushed as one bulk message per window.
 _COMBINING = True
 _COMBINING_WINDOW = 1024
-
-#: process-wide switch for the zero-copy intra-node fast path: RMIs between
-#: locations sharing a node skip serialization/payload-byte charges and
-#: execute directly against the destination representative under ``t_lock``.
-#: Off by default — message-path buffering (asyncs invisible until a fence)
-#: is the reference semantics the tests pin down; the mixed-mode ablation
-#: toggles this on to measure the shared-memory half of the runtime.
-_ZERO_COPY = False
-
-
-def zero_copy_enabled() -> bool:
-    return _ZERO_COPY
-
-
-def set_zero_copy(on: bool) -> bool:
-    """Toggle the zero-copy intra-node fast path; returns the previous
-    setting.  With the fast path on, intra-node asyncs complete eagerly
-    (they no longer wait for a fence); results are unchanged for programs
-    that only rely on the source-FIFO ordering guarantee."""
-    global _ZERO_COPY
-    prev = _ZERO_COPY
-    _ZERO_COPY = bool(on)
-    return prev
-
-
-#: process-wide switch for the multiprocessing backend's *true* zero-copy
-#: slab transport: bulk ndarray payloads travel as references into pooled
-#: shared-memory arena segments (or straight into live bContainer storage)
-#: that the receiver maps read-only, instead of the copy-out path (fresh
-#: segment per slab, receiver copies and unlinks).  On by default; the
-#: simulator ignores it — its shared address space has no slab transport
-#: to optimize, and every simulated bulk accessor keeps returning copies.
-_MP_ZERO_COPY = True
-
-#: ndarray payloads at least this big (bytes) ride shared-memory segments
-#: under the multiprocessing backend instead of being pickled into the
-#: queue pipe; sweepable by the bench ablation suite.
-_SHM_SLAB_THRESHOLD = int(os.environ.get("REPRO_MP_SHM_THRESHOLD", "2048"))
-
-
-def mp_zero_copy_enabled() -> bool:
-    return _MP_ZERO_COPY
-
-
-def set_mp_zero_copy(on: bool) -> bool:
-    """Toggle the multiprocessing backend's zero-copy slab transport;
-    returns the previous setting.  Off means the copy-out ablation: every
-    slab is written to a fresh segment, copied out by the receiver and
-    unlinked.  Results are byte-identical either way (the differential
-    suite pins this down); only wall-clock cost changes."""
-    global _MP_ZERO_COPY
-    prev = _MP_ZERO_COPY
-    _MP_ZERO_COPY = bool(on)
-    return prev
-
-
-def shm_slab_threshold() -> int:
-    return _SHM_SLAB_THRESHOLD
-
-
-def set_shm_slab_threshold(nbytes: int) -> int:
-    """Set the minimum ndarray payload size (bytes) that travels through
-    shared memory under the multiprocessing backend; returns the previous
-    threshold.  Smaller payloads are pickled into the queue pipe."""
-    global _SHM_SLAB_THRESHOLD
-    if nbytes < 0:
-        raise ValueError("shm slab threshold must be >= 0")
-    prev = _SHM_SLAB_THRESHOLD
-    _SHM_SLAB_THRESHOLD = int(nbytes)
-    return prev
 
 
 def combining_enabled() -> bool:
@@ -156,35 +85,10 @@ def set_combining_window(n: int) -> int:
 # :mod:`repro.runtime.mp` provides a real ``multiprocessing`` backend where
 # each location is an OS process, scalar RMIs travel over per-destination
 # queues and bulk slabs move through ``multiprocessing.shared_memory``
-# segments.  ``set_backend`` selects which runtime :func:`~.scheduler.
-# spmd_run` builds; the differential test layer (``tests/backend/``) asserts
-# byte-identical results between the two.
+# segments.  ``spmd_run(..., backend=)`` selects which runtime a run builds;
+# the differential test layer (``tests/backend/``) asserts byte-identical
+# results between the two.
 # ---------------------------------------------------------------------------
-
-_BACKENDS = ("simulated", "multiprocessing")
-_BACKEND = "simulated"
-
-
-def available_backends() -> tuple:
-    return _BACKENDS
-
-
-def current_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Select the execution backend used by subsequent ``spmd_run`` calls
-    (``"simulated"`` — the deterministic virtual-time oracle — or
-    ``"multiprocessing"`` — one OS process per location, real wall-clock
-    parallelism).  Returns the previous setting."""
-    global _BACKEND
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(_BACKENDS)}")
-    prev = _BACKEND
-    _BACKEND = name
-    return prev
 
 
 class TransportBackend(abc.ABC):
@@ -227,7 +131,7 @@ class TransportBackend(abc.ABC):
 # -- cross-backend toggle snapshot ------------------------------------------
 # Real concurrency exposes a latent assumption of the single-process
 # simulator: performance toggles live as module-level state (combining,
-# zero-copy, lookup cache, dataflow, bulk transport).  Worker processes of a
+# lookup cache, dataflow, bulk transport).  Worker processes of a
 # real backend must observe the values that were set *before* the run
 # started, so the launcher snapshots them and re-applies the snapshot inside
 # every worker — robust even under a ``spawn`` start method where module
@@ -243,12 +147,9 @@ def snapshot_toggles() -> dict:
     return {
         "combining": combining_enabled(),
         "combining_window": combining_window(),
-        "zero_copy": zero_copy_enabled(),
         "lookup_cache": lookup_cache_enabled(),
         "dataflow": dataflow_enabled(),
         "bulk_transport": bulk_transport_enabled(),
-        "mp_zero_copy": mp_zero_copy_enabled(),
-        "shm_slab_threshold": shm_slab_threshold(),
     }
 
 
@@ -260,15 +161,9 @@ def apply_toggles(snapshot: dict) -> None:
 
     set_combining(snapshot["combining"])
     set_combining_window(snapshot["combining_window"])
-    set_zero_copy(snapshot["zero_copy"])
     set_lookup_cache(snapshot["lookup_cache"])
     set_dataflow(snapshot["dataflow"])
     set_bulk_transport(snapshot["bulk_transport"])
-    # keys added after the snapshot contract shipped: tolerate captures
-    # from older payloads (e.g. a recorded bench baseline)
-    set_mp_zero_copy(snapshot.get("mp_zero_copy", True))
-    set_shm_slab_threshold(snapshot.get("shm_slab_threshold",
-                                        _SHM_SLAB_THRESHOLD))
 
 
 def estimate_size(obj, _depth: int = 0) -> int:

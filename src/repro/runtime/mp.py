@@ -13,15 +13,14 @@ runtime API):
 
 * :class:`MpLocation` subclasses the simulated :class:`Location`, so the
   aggregation/combining bookkeeping, virtual-clock charging and the whole
-  container-facing API are inherited verbatim.  Only the methods that
-  *deliver* work are overridden: sync/split-phase RMIs become
-  request/reply token exchanges, collectives ride a gather/scatter engine,
-  and the fence becomes a counting protocol.
-* Asynchronous sends (including combining-buffer flushes and bulk slab
-  pushes) funnel unchanged through ``Location`` into
-  :meth:`MpTransport.enqueue`, which hands the message to the destination
-  process's queue — the narrow waist of
-  :class:`~repro.runtime.comm.TransportBackend`.
+  container-facing API are inherited verbatim.  For point-to-point traffic
+  it re-implements exactly two things: *deliver one request*
+  (:meth:`MpTransport.enqueue`, the narrow waist of
+  :class:`~repro.runtime.comm.TransportBackend`, which every inherited
+  send — asyncs, split-phase requests, combining-buffer flushes, bulk slab
+  pushes — funnels into) and *wait for one reply*
+  (:meth:`MpLocation._round_trip`, a token exchange).  Collectives ride a
+  gather/scatter engine and the fence becomes a counting protocol.
 * Collectives never pickle reduction operators: members exchange raw
   payloads through the group's lowest-lid coordinator and every member
   computes the result locally with
@@ -74,10 +73,9 @@ from .comm import (
     TransportBackend,
     apply_toggles,
     estimate_size,
-    mp_zero_copy_enabled,
-    shm_slab_threshold,
     snapshot_toggles,
 )
+from .future import Future
 from .machine import get_machine
 from .scheduler import (
     Location,
@@ -101,6 +99,10 @@ _STALL_PATIENCE = 10.0
 
 _PACK_DEPTH = 8
 
+#: ndarray payloads at least this big (bytes) ride shared-memory segments
+#: instead of being pickled into the queue pipe
+SHM_SLAB_THRESHOLD = 2048
+
 #: smallest arena segment size class (bytes); classes double from here
 _ARENA_MIN_CLASS = 1024
 #: an exchange channel's round-S segments recycle when round S+2 begins:
@@ -110,46 +112,39 @@ _CHANNEL_REUSE_LAG = 2
 
 
 class ShmSlab:
-    """Wire placeholder for an ndarray moved through shared memory.
+    """Wire placeholder for an ndarray moved through shared memory: a
+    reference to ``shape``/``dtype`` bytes at ``offset`` inside the named
+    segment, which the *sender* owns.  The receiver maps the segment
+    (cached per name) and hands out a read-only view; it never unlinks.
 
-    ``mode`` selects the receiver's obligation:
+    The segment is either a warm arena segment — the sender recycles it
+    after the next world fence (or two exchange rounds later on the same
+    channel) — or, for synchronous bulk replies, the owner's bContainer
+    storage segment itself, which lives as long as the storage does.
 
-    * ``"copy"`` — legacy copy-out: a fresh segment owned by this slab
-      alone; the receiver copies the bytes out and unlinks it.
-    * ``"pooled"`` — a warm arena segment owned by the *sender*: the
-      receiver maps it (cached per name) and hands out a read-only view;
-      the sender recycles the segment after the next world fence (or two
-      exchange rounds later on the same channel), never the receiver.
-    * ``"live"`` — a reference straight into the owner's bContainer
-      storage segment at ``offset``: same read-only view on the receiver,
-      but the segment lives as long as the storage does.
-
-    Validity contract for ``pooled``/``live`` views: a received zero-copy
-    slab view is guaranteed stable until the receiver's next world fence
-    (or its next bulk exchange on the same group, for exchange slabs).
-    Consumers that retain data past that point must copy — every internal
-    consumer (``set_range``/handler argument paths) already does.
+    Validity contract: a received slab view is guaranteed stable until the
+    receiver's next world fence (or its next bulk exchange on the same
+    group, for exchange slabs).  Consumers that retain data past that
+    point must copy — every internal consumer (``set_range``/handler
+    argument paths) already does.
     """
 
-    __slots__ = ("name", "shape", "dtype", "offset", "mode")
+    __slots__ = ("name", "shape", "dtype", "offset")
 
-    def __init__(self, name: str, shape, dtype: str, offset: int = 0,
-                 mode: str = "copy"):
+    def __init__(self, name: str, shape, dtype: str, offset: int = 0):
         self.name = name
         self.shape = shape
         self.dtype = dtype
         self.offset = offset
-        self.mode = mode
 
     def __reduce__(self):
-        return (ShmSlab,
-                (self.name, self.shape, self.dtype, self.offset, self.mode))
+        return (ShmSlab, (self.name, self.shape, self.dtype, self.offset))
 
 
 class _TrackerShim:
     """No-op stand-in for the multiprocessing resource tracker during slab
-    segment calls.  Slab lifetime is managed explicitly — the receiver
-    unlinks after copy-out and the parent sweeps leftovers — while
+    segment calls.  Slab lifetime is managed explicitly — the owning arena
+    unlinks on dispose and the parent sweeps leftovers — while
     Python < 3.13 registers every create *and* attach with one tracker
     daemon shared by all forked workers, so the matching unregisters race
     and spam KeyErrors from the tracker thread."""
@@ -380,16 +375,13 @@ def _slab_view(obj: ShmSlab, seg) -> np.ndarray:
     return arr.reshape(obj.shape)
 
 
-def pack_payload(obj, namer, threshold: int | None = None, _depth: int = 0,
-                 live_ok: bool = False):
-    """Replace large ndarrays inside ``obj`` (recursing through tuples,
-    lists and dicts) with :class:`ShmSlab` references.
-
-    ``namer`` is either a callable returning globally fresh segment names
-    — the legacy copy-out path: one fresh segment per slab, receiver
-    copies and unlinks — or a :class:`ShmArena`, which produces pooled
-    (warm, owner-reclaimed) segments and, when ``live_ok`` and the array
-    is recognised as container storage, zero-copy ``live`` references.
+def pack_payload(obj, arena: ShmArena, threshold: int = SHM_SLAB_THRESHOLD,
+                 _depth: int = 0, live_ok: bool = False):
+    """Replace ndarrays of at least ``threshold`` bytes inside ``obj``
+    (recursing through tuples, lists and dicts) with :class:`ShmSlab`
+    references into ``arena``: a copy in a pooled (warm, owner-reclaimed)
+    segment, or — when ``live_ok`` and the array is recognised as
+    container storage — a reference straight into that storage.
     ``live_ok`` must only be set for synchronous replies, and is sound
     under the collectives' epoch discipline: a range read remotely within
     an epoch is not written until after the separating fence, so the
@@ -397,74 +389,47 @@ def pack_payload(obj, namer, threshold: int | None = None, _depth: int = 0,
     A consumer that holds the view across protocol events without an
     intervening fence must snapshot it (``OverlapView.materialize``
     does)."""
-    if threshold is None:
-        threshold = shm_slab_threshold()
     if isinstance(obj, np.ndarray) and obj.dtype != object \
             and obj.nbytes >= threshold:
-        from multiprocessing import shared_memory
-
-        arena = namer if isinstance(namer, ShmArena) else None
-        if arena is not None:
-            if live_ok:
-                live = arena.find_live(obj)
-                if live is not None:
-                    name, off = live
-                    if arena.stats is not None:
-                        arena.stats.live_storage_refs += 1
-                    return ShmSlab(name, obj.shape, str(obj.dtype),
-                                   offset=off, mode="live")
-            seg, cls = arena.alloc(obj.nbytes)
-            np.ndarray(obj.shape, dtype=obj.dtype, buffer=seg.buf)[...] = obj
-            ref = ShmSlab(seg.name, obj.shape, str(obj.dtype), mode="pooled")
-            arena.retire(seg, cls)
-            return ref
-        seg = _shm_call(shared_memory.SharedMemory, create=True,
-                        size=obj.nbytes, name=namer())
+        if live_ok:
+            live = arena.find_live(obj)
+            if live is not None:
+                name, off = live
+                if arena.stats is not None:
+                    arena.stats.live_storage_refs += 1
+                return ShmSlab(name, obj.shape, str(obj.dtype), offset=off)
+        seg, cls = arena.alloc(obj.nbytes)
         np.ndarray(obj.shape, dtype=obj.dtype, buffer=seg.buf)[...] = obj
         ref = ShmSlab(seg.name, obj.shape, str(obj.dtype))
-        seg.close()
+        arena.retire(seg, cls)
         return ref
     if _depth >= _PACK_DEPTH:
         return obj
     if isinstance(obj, tuple):
-        return tuple(pack_payload(o, namer, threshold, _depth + 1, live_ok)
+        return tuple(pack_payload(o, arena, threshold, _depth + 1, live_ok)
                      for o in obj)
     if isinstance(obj, list):
-        return [pack_payload(o, namer, threshold, _depth + 1, live_ok)
+        return [pack_payload(o, arena, threshold, _depth + 1, live_ok)
                 for o in obj]
     if isinstance(obj, dict):
-        return {k: pack_payload(v, namer, threshold, _depth + 1, live_ok)
+        return {k: pack_payload(v, arena, threshold, _depth + 1, live_ok)
                 for k, v in obj.items()}
     return obj
 
 
 def unpack_payload(obj, cache: SegmentCache | None = None, _depth: int = 0):
-    """Inverse of :func:`pack_payload`.
-
-    ``"copy"`` slabs materialise the legacy way: copy out of the segment,
-    then unlink it — the reader owns that segment's lifetime.  ``"pooled"``
-    and ``"live"`` slabs are *owner-managed*: with a :class:`SegmentCache`
-    the receiver maps the segment (cached per name) and returns a
-    read-only zero-copy view; without one (standalone use) the bytes are
-    copied out and the mapping dropped, but the segment is never
-    unlinked."""
+    """Inverse of :func:`pack_payload`.  Slab segments are owner-managed:
+    with a :class:`SegmentCache` the receiver maps the segment (cached per
+    name) and returns a read-only zero-copy view; without one (standalone
+    use) the bytes are copied out and the mapping dropped.  The segment is
+    never unlinked here."""
     if isinstance(obj, ShmSlab):
-        from multiprocessing import shared_memory
-
-        if obj.mode == "copy":
-            seg = _shm_call(shared_memory.SharedMemory, name=obj.name)
-            arr = np.ndarray(obj.shape, dtype=np.dtype(obj.dtype),
-                             buffer=seg.buf).copy()
-            seg.close()
-            try:
-                _shm_call(seg.unlink)
-            except FileNotFoundError:  # pragma: no cover - already reclaimed
-                pass
-            return arr
         if cache is not None:
             if cache.stats is not None:
                 cache.stats.zero_copy_slab_views += 1
             return _slab_view(obj, cache.attach(obj.name))
+        from multiprocessing import shared_memory
+
         seg = _shm_call(shared_memory.SharedMemory, name=obj.name)
         arr = _slab_view(obj, seg).copy()
         try:
@@ -593,29 +558,6 @@ def wire_loads(data: bytes):
     return pickle.loads(data)
 
 
-class MpFuture:
-    """Split-phase handle over a real request/reply token exchange.
-    API-compatible with the simulated :class:`~repro.runtime.future.Future`."""
-
-    __slots__ = ("_rt", "token", "ready", "value", "ready_time")
-
-    def __init__(self, rt: "MpRuntime", token: int):
-        self._rt = rt
-        self.token = token
-        self.ready = False
-        self.value = None
-        self.ready_time = 0.0
-
-    def test(self) -> bool:
-        return self.ready
-
-    def get(self):
-        if not self.ready:
-            self._rt._service_until(lambda: self.ready,
-                                    f"split-phase reply (token {self.token})")
-        return self.value
-
-
 class MpTransport(TransportBackend):
     """Eager queue transport: enqueue hands the message to the destination
     process immediately; there is no buffered channel to drain."""
@@ -631,10 +573,23 @@ class MpTransport(TransportBackend):
 
     def enqueue(self, msg: Message) -> bool:
         rt = self.rt
-        if msg.future is not None:  # pragma: no cover - defensive
-            raise SpmdError("mp transport: futures ride the token protocol")
         rt.req_sent += 1
         rt.sent_to[msg.dst] += 1
+        packed = rt._pack(msg.args)
+        if msg.future is not None:
+            # token request: the reply resolves the future and carries the
+            # count of same-origin requests the handler spawned
+            rt._next_token += 1
+            token = rt._next_token
+            rt._futures[token] = msg.future
+            if not rt._spawn_frames:
+                # top-level request: os_fence must wait for it, so count
+                # it outstanding until its reply (credit -1) arrives
+                rt.outstanding += 1
+                rt._reply_credit[token] = -1
+            rt._put(msg.dst, ("sync", msg.src, token, msg.handle, msg.method,
+                              packed))
+            return True
         if rt._spawn_frames:
             # handler-spawned (forwarded) request: accounted by the ack
             # credit this handler sends to the message's origin
@@ -642,7 +597,7 @@ class MpTransport(TransportBackend):
         elif msg.origin == rt.lid:
             rt.outstanding += 1
         rt._put(msg.dst, ("req", msg.src, msg.origin, msg.handle, msg.method,
-                          rt._pack(msg.args)))
+                          packed))
         return True
 
 
@@ -692,7 +647,7 @@ class MpRuntime:
         self.exec_from = [0] * nlocs
         self.outstanding = 0
         self._spawn_frames: list[int] = []
-        self._futures: dict[int, MpFuture] = {}
+        self._futures: dict[int, Future] = {}
         self._reply_credit: dict[int, int] = {}
         self._next_token = 0
         self._shm_count = 0
@@ -732,17 +687,11 @@ class MpRuntime:
 
     # -- wire helpers ------------------------------------------------------
     def _pack(self, obj, live_ok: bool = False):
-        if mp_zero_copy_enabled():
-            return pack_payload(obj, self.arena, live_ok=live_ok)
-        return pack_payload(obj, self._new_shm_name)
+        return pack_payload(obj, self.arena, live_ok=live_ok)
 
     def _new_shm_name(self) -> str:
         self._shm_count += 1
         return f"rs{self.run_id}_{self.lid}_{self._shm_count}"
-
-    def new_token(self) -> int:
-        self._next_token += 1
-        return self._next_token
 
     def _put(self, dest: int, item) -> None:
         if dest == self.lid:
@@ -835,9 +784,8 @@ class MpRuntime:
         elif kind == "reply":
             _, token, packed, spawned = item
             self.outstanding += spawned + self._reply_credit.pop(token, 0)
-            fut = self._futures.pop(token)
-            fut.value = unpack_payload(packed, self.seg_cache)
-            fut.ready = True
+            self._futures.pop(token)._resolve(
+                unpack_payload(packed, self.seg_cache), 0.0)
         elif kind == "ack":
             self.outstanding += item[1] - 1
         elif kind == "coll":
@@ -886,9 +834,14 @@ class MpRuntime:
         return self._service_one(block=False) is not None
 
     def flush_channel(self, src: int, dst: int, until_future=None) -> int:
-        # sends are eager: there is nothing buffered sender-side.  Flushing
-        # "my own channel" (the pList self-send fast path) means processing
+        # sends are eager: there is nothing buffered sender-side.  Forcing
+        # a future means servicing until its reply arrives; flushing "my
+        # own channel" (the pList self-send fast path) means processing
         # what has already arrived.
+        if until_future is not None:
+            self._service_until(lambda: until_future.ready,
+                                f"reply from location {dst}")
+            return 0
         if dst != self.lid:
             return 0
         return self.drain_available()
@@ -972,91 +925,24 @@ class MpLocation(Location):
         # executing process's own location
         return (_resolve_location, ())
 
-    # real transport: the simulated intra-node shortcut does not exist —
-    # *every* same-node message already moves through shared memory
-    def zero_copy_local(self, dest: int) -> bool:
-        return False
-
     # -- point-to-point ----------------------------------------------------
-    # async_rmi / bulk_set_range / combine_rmi / flush_combining are
-    # inherited: they funnel into MpTransport.enqueue.
+    # Every public RMI flavour is inherited.  Sends funnel through
+    # Location._send into MpTransport.enqueue; only the blocking round trip
+    # differs in kind: a token request, then service until the reply.
 
-    def sync_rmi(self, dest: int, handle: int, method: str, *args):
+    def _round_trip(self, dest: int, handle: int, method: str, args,
+                    header: int):
         rt = self.runtime
         m = rt.machine
-        self.stats.sync_rmi_sent += 1
-        if self._combining:
-            self.flush_combining(dest)
-        size = 32 + estimate_size(args)
         if dest == self.id:
             rt.drain_available()  # source FIFO with pending self-sends
             self.clock += m.o_send + m.o_recv
             return rt._run_handler(rt.loc, handle, method, args, self.id)
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        self.stats.physical_messages += 2  # request + reply
-        rt.req_sent += 1
-        rt.sent_to[dest] += 1
-        token = rt.new_token()
-        fut = MpFuture(rt, token)
-        rt._futures[token] = fut
-        rt._put(dest, ("sync", self.id, token, handle, method,
-                       rt._pack(args)))
+        fut = self._send(dest, handle, method, args,
+                         header + estimate_size(args), self.id, reply=True)
+        self.stats.physical_messages += 1  # the reply
         rt._service_until(lambda: fut.ready,
-                          f"sync_rmi reply from location {dest} "
-                          f"({method})")
-        return fut.value
-
-    def opaque_rmi(self, dest: int, handle: int, method: str, *args) -> MpFuture:
-        rt = self.runtime
-        m = rt.machine
-        if self._combining:
-            self.flush_combining(dest)
-        size = 32 + estimate_size(args)
-        self.stats.opaque_rmi_sent += 1
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        self.stats.physical_messages += 1
-        rt.req_sent += 1
-        rt.sent_to[dest] += 1
-        token = rt.new_token()
-        fut = MpFuture(rt, token)
-        rt._futures[token] = fut
-        if not rt._spawn_frames:
-            # top-level split-phase request: os_fence must wait for it, so
-            # count it outstanding until its reply (credit -1) arrives
-            rt.outstanding += 1
-            rt._reply_credit[token] = -1
-        rt._put(dest, ("sync", self.id, token, handle, method,
-                       rt._pack(args)))
-        return fut
-
-    # -- bulk transport ----------------------------------------------------
-    def bulk_get_range(self, dest: int, handle: int, method: str, *args,
-                       nelems: int = 0):
-        rt = self.runtime
-        m = rt.machine
-        self.stats.bulk_rmi_sent += 1
-        self.stats.bulk_elements_moved += nelems
-        if self._combining:
-            self.flush_combining(dest)
-        size = 64 + estimate_size(args)
-        if dest == self.id:
-            rt.drain_available()
-            self.clock += m.o_send + m.o_recv
-            return rt._run_handler(rt.loc, handle, method, args, self.id)
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        self.stats.physical_messages += 2  # request + slab reply
-        rt.req_sent += 1
-        rt.sent_to[dest] += 1
-        token = rt.new_token()
-        fut = MpFuture(rt, token)
-        rt._futures[token] = fut
-        rt._put(dest, ("sync", self.id, token, handle, method,
-                       rt._pack(args)))
-        rt._service_until(lambda: fut.ready,
-                          f"bulk slab reply from location {dest}")
+                          f"reply from location {dest} ({method})")
         return fut.value
 
     def _slab_exchange(self, tag: str, per_dest, group: LocationGroup):
@@ -1069,12 +955,10 @@ class MpLocation(Location):
         self._slab_seq[(tag, group.key)] = seq + 1
         key = (tag, group.key, seq)
         others = [m for m in group.members if m != self.id]
-        zero_copy = mp_zero_copy_enabled()
-        if zero_copy:
-            # retire this round's segments into the exchange channel:
-            # completing round seq-1 proved every peer consumed round
-            # seq-2, so those recycle now without waiting for a fence
-            rt.arena.begin_channel((tag, group.key), seq)
+        # retire this round's segments into the exchange channel:
+        # completing round seq-1 proved every peer consumed round seq-2, so
+        # those recycle now without waiting for a fence
+        rt.arena.begin_channel((tag, group.key), seq)
         packed_once: dict = {}  # id(payload) -> packed (gather multicast)
         keep_alive: list = []   # pins ids: no reuse while packed_once lives
         try:
@@ -1085,18 +969,14 @@ class MpLocation(Location):
                 self.stats.bulk_rmi_sent += 1
                 self.stats.bytes_sent += size
                 self.stats.physical_messages += 1
-                if zero_copy:
-                    packed = packed_once.get(id(payload))
-                    if packed is None:
-                        packed = rt._pack(payload)
-                        packed_once[id(payload)] = packed
-                        keep_alive.append(payload)
-                else:
+                packed = packed_once.get(id(payload))
+                if packed is None:
                     packed = rt._pack(payload)
+                    packed_once[id(payload)] = packed
+                    keep_alive.append(payload)
                 rt._put(member, ("slab", key, self.id, packed))
         finally:
-            if zero_copy:
-                rt.arena.end_channel()
+            rt.arena.end_channel()
         rt._service_until(
             lambda: len(rt._slab_inbox.get(key, ())) == len(others),
             f"bulk slab exchange {key}")
@@ -1141,14 +1021,10 @@ class MpLocation(Location):
         # untouched (the heavy bytes cross the wire once, straight from
         # the packing member's segment to every consumer), and each
         # member unpacks on receipt — zero-copy views under the same
-        # consume-before-your-next-fence contract as bulk_gather.  Only
-        # pooled (arena, owner-reclaimed) slabs survive that fan-out;
-        # legacy "copy" slabs are single-consumer (the first unpack
-        # unlinks the segment), so copy-out mode ships payloads raw.
-        pack = rt._pack if mp_zero_copy_enabled() else (lambda p: p)
+        # consume-before-your-next-fence contract as bulk_gather.
         if self.id == coord:
             box = rt._coll_gather.setdefault(key, {})
-            box[self.id] = (op, pack(payload))
+            box[self.id] = (op, rt._pack(payload))
             rt._service_until(
                 lambda: len(rt._coll_gather.get(key, ())) == len(group),
                 f"collective '{op}' on {group}")
@@ -1163,7 +1039,7 @@ class MpLocation(Location):
                 rt._put(member, ("collres", key, arrived))
             return {lid: unpack_payload(p, rt.seg_cache)
                     for lid, p in arrived.items()}
-        rt._put(coord, ("coll", key, op, self.id, pack(payload)))
+        rt._put(coord, ("coll", key, op, self.id, rt._pack(payload)))
         rt._service_until(lambda: key in rt._coll_results,
                           f"collective '{op}' result on {group}")
         return {lid: unpack_payload(p, rt.seg_cache)
@@ -1288,11 +1164,10 @@ def _worker_main(lid, nlocs, machine, placement, queues, result_q, fn, args,
     rt = MpRuntime(lid, nlocs, machine, placement, queues, run_id,
                    op_timeout=op_timeout)
     _CURRENT_RUNTIME = rt
-    if mp_zero_copy_enabled():
-        # numpy bContainer storage allocates inside the arena, so bulk
-        # replies can ship references into live storage
-        from ..core.base_containers import set_storage_allocator
-        set_storage_allocator(rt.arena.storage_alloc)
+    # numpy bContainer storage allocates inside the arena, so bulk replies
+    # can ship references into live storage
+    from ..core.base_containers import set_storage_allocator
+    set_storage_allocator(rt.arena.storage_alloc)
     if isinstance(fn, bytes):
         # non-fork start methods ship (fn, args) as a wire blob (closure-
         # capable); decode after the runtime is installed so captured
@@ -1470,6 +1345,6 @@ def mp_spmd_run(fn, nlocs: int = 4, machine="smp", args: tuple = (),
                                 start_method=start_method).results
 
 
-__all__ = ["MpFuture", "MpLocation", "MpRuntime", "MpTransport",
+__all__ = ["MpLocation", "MpRuntime", "MpTransport",
            "SegmentCache", "ShmArena", "ShmSlab", "mp_spmd_run",
            "mp_spmd_run_detailed", "pack_payload", "unpack_payload"]

@@ -92,9 +92,8 @@ class PObject:
         slab routing): ``bundles`` is a list of ``(dest_lid, records)``
         pairs, all destined to locations on this node.  The bundle
         addressed to this location replays in place; the others are
-        forwarded over cheap intra-node asyncs (zero-copy when the fast
-        path is on), preserving the originating location for
-        ``os_fence``."""
+        forwarded over cheap intra-node asyncs, preserving the originating
+        location for ``os_fence``."""
         here = self.here
         for dest, records in bundles:
             if dest == here.id:

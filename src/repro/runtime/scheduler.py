@@ -13,13 +13,11 @@ which execute the handler directly against the target representative while
 charging round-trip time — runs to completion without a context switch.
 
 Mixed-mode execution (Ch. III.B "communication ... through shared memory
-within a node and message passing across nodes"): with the zero-copy fast
-path enabled (:func:`repro.runtime.comm.set_zero_copy`), RMIs between
-locations sharing a node skip marshaling and message charges entirely and
-run directly against the destination representative under ``t_lock``;
-collectives always run as two-level (intra-node, then inter-node) trees; and
-bulk slabs/combining buffers bound for several locations on one remote node
-coalesce into a single inter-node message scattered by a node leader.
+within a node and message passing across nodes"): intra-node messages pay
+intra-node latency and byte costs; collectives run as two-level (intra-node,
+then inter-node) trees; and bulk slabs/combining buffers bound for several
+locations on one remote node coalesce into a single inter-node message
+scattered by a node leader.
 
 Task-graph execution (the PARAGRAPH engine of
 :mod:`repro.algorithms.prange`) adds one non-collective blocking point:
@@ -42,9 +40,7 @@ from .comm import (
     Network,
     combining_enabled,
     combining_window,
-    current_backend,
     estimate_size,
-    zero_copy_enabled,
 )
 from .future import Future
 from .machine import get_machine
@@ -102,7 +98,7 @@ class LocationGroup:
         return len(self.members)
 
     def __contains__(self, lid):
-        return lid in set(self.members)
+        return lid in self.members
 
     def index_of(self, lid: int) -> int:
         return self.members.index(lid)
@@ -305,130 +301,90 @@ class Location:
         """Elapsed virtual microseconds since ``t0``."""
         return self.clock - t0
 
-    # -- zero-copy intra-node fast path -----------------------------------
-    # Mixed-mode shared memory (BCL-style direct local access): an RMI whose
-    # destination shares this location's node needs no marshaling and no
-    # physical message — the handler runs directly against the destination
-    # representative, guarded by one t_lock acquire.  The skipped wire bytes
-    # are tracked in ``bytes_avoided`` so ablations can compare fast path
-    # vs. message path head-to-head.
-
-    def zero_copy_local(self, dest: int) -> bool:
-        """Does ``dest`` qualify for the zero-copy intra-node fast path?"""
-        rt = self.runtime
-        return (zero_copy_enabled() and dest != self.id
-                and rt.machine.same_node(self.id, dest, rt.nlocs, rt.placement))
-
-    def _zero_copy_execute(self, dest: int, handle: int, method: str, args,
-                           size: int):
-        """Execute one RMI against the destination representative directly.
-        Returns (result, destination location).  Source-FIFO order with any
-        traffic still buffered on this channel is preserved by draining the
-        channel first."""
-        rt = self.runtime
-        if rt.network.has_pending(self.id, dest):
-            rt.flush_channel(self.id, dest)
-        self.charge_lock()  # t_lock guards the direct bContainer access
-        self.stats.local_node_invocations += 1
-        self.stats.bytes_avoided += size
-        dst_loc = rt.locations[dest]
-        if dst_loc.clock < self.clock:
-            dst_loc.clock = self.clock
-        result = rt._run_handler(dst_loc, handle, method, args,
-                                 rt.current_origin)
-        return result, dst_loc
-
     # -- point-to-point RMI ---------------------------------------------
+    # Every public flavour funnels into one of two delivery paths, which
+    # are all a backend re-implements: ``_send`` (deliver one request) and
+    # ``_round_trip`` (deliver one request and wait for its reply).
+
+    def _send(self, dest: int, handle: int, method: str, args, size: int,
+              origin: int, *, bulk: bool = False, reply: bool = False):
+        """Charge the sender and hand one request to the transport's FIFO
+        channel to ``dest``; returns the reply :class:`Future` when
+        ``reply`` is set (split-phase), else None."""
+        rt = self.runtime
+        m = rt.machine
+        self.clock += m.o_send
+        self.stats.bytes_sent += size
+        fut = Future(rt, self.id, dest) if reply else None
+        msg = Message(self.id, dest, handle, method, args, size, self.clock,
+                      origin, future=fut, bulk=bulk)
+        if rt.network.enqueue(msg):
+            self.clock += m.msg_overhead
+            self.stats.physical_messages += 1
+        return fut
+
+    def _round_trip(self, dest: int, handle: int, method: str, args,
+                    header: int):
+        """Blocking request/reply: pending asyncs to ``dest`` execute first
+        (source FIFO), then the handler runs against the destination
+        representative while both clocks are charged the round trip.
+        ``header`` is the fixed per-message byte cost of request and reply
+        (32 scalar, 64 slab)."""
+        rt = self.runtime
+        m = rt.machine
+        rt.flush_channel(self.id, dest)
+        size = header + estimate_size(args)
+        self.clock += m.o_send
+        self.stats.bytes_sent += size
+        dst_loc = rt.locations[dest]
+        if dest == self.id:
+            self.clock += m.o_recv
+            return rt._run_handler(dst_loc, handle, method, args, self.id)
+        # a blocking RMI cannot be aggregated: request + reply each occupy
+        # one physical message
+        self.stats.physical_messages += 2
+        lat = m.latency(self.id, dest, rt.nlocs, rt.placement)
+        bc = m.byte_cost(self.id, dest, rt.nlocs, rt.placement)
+        arrival = self.clock + lat + size * bc
+        if dst_loc.clock < arrival:
+            dst_loc.clock = arrival
+        dst_loc.clock += m.o_recv
+        result = rt._run_handler(dst_loc, handle, method, args, self.id)
+        rsize = header + estimate_size(result)
+        dst_loc.stats.bytes_sent += rsize  # the reply is traffic too
+        self.clock = dst_loc.clock + lat + rsize * bc + m.o_recv
+        return result
+
     def async_rmi(self, dest: int, handle: int, method: str, *args) -> None:
         """Fire-and-forget remote method invocation (no return value).
 
         Completion is guaranteed only by a subsequent fence, or by a sync /
         split-phase method to the same destination from this location
-        (source FIFO ordering), per Ch. VII.B.  Intra-node destinations take
-        the zero-copy fast path when enabled: the op completes eagerly with
-        no message charged.
+        (source FIFO ordering), per Ch. VII.B.
         """
-        rt = self.runtime
-        m = rt.machine
         if self._combining:
             self.flush_combining(dest)
-        size = 32 + estimate_size(args)
         self.stats.async_rmi_sent += 1
-        if self.zero_copy_local(dest):
-            self._zero_copy_execute(dest, handle, method, args, size)
-            return
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        msg = Message(self.id, dest, handle, method, args, size, self.clock,
-                      rt.current_origin)
-        if rt.network.enqueue(msg):
-            self.clock += m.msg_overhead
-            self.stats.physical_messages += 1
+        self._send(dest, handle, method, args, 32 + estimate_size(args),
+                   self.runtime.current_origin)
 
     def sync_rmi(self, dest: int, handle: int, method: str, *args):
         """Blocking RMI: returns the method's result; costs a round trip."""
-        rt = self.runtime
-        m = rt.machine
         self.stats.sync_rmi_sent += 1
         # Source FIFO: buffered combined ops, then pending asyncs to
         # `dest` execute first.
         if self._combining:
             self.flush_combining(dest)
-        rt.flush_channel(self.id, dest)
-        size = 32 + estimate_size(args)
-        if self.zero_copy_local(dest):
-            # shared-memory round trip: no request/reply serialization
-            result, dst_loc = self._zero_copy_execute(
-                dest, handle, method, args, size)
-            self.stats.bytes_avoided += 32 + estimate_size(result)
-            self.clock = dst_loc.clock
-            return result
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        dst_loc = rt.locations[dest]
-        if dest != self.id:
-            # a blocking RMI cannot be aggregated: request + reply each
-            # occupy one physical message
-            self.stats.physical_messages += 2
-            lat = m.latency(self.id, dest, rt.nlocs, rt.placement)
-            bc = m.byte_cost(self.id, dest, rt.nlocs, rt.placement)
-            arrival = self.clock + lat + size * bc
-            if dst_loc.clock < arrival:
-                dst_loc.clock = arrival
-            dst_loc.clock += m.o_recv
-            result = rt._run_handler(dst_loc, handle, method, args, self.id)
-            rsize = 32 + estimate_size(result)
-            dst_loc.stats.bytes_sent += rsize  # the reply is traffic too
-            self.clock = dst_loc.clock + lat + rsize * bc + m.o_recv
-        else:
-            self.clock += m.o_recv
-            result = rt._run_handler(dst_loc, handle, method, args, self.id)
-        return result
+        return self._round_trip(dest, handle, method, args, 32)
 
     def opaque_rmi(self, dest: int, handle: int, method: str, *args) -> Future:
         """Split-phase RMI: returns a :class:`Future` immediately."""
-        rt = self.runtime
-        m = rt.machine
         if self._combining:
             self.flush_combining(dest)
-        size = 32 + estimate_size(args)
         self.stats.opaque_rmi_sent += 1
-        if self.zero_copy_local(dest):
-            result, dst_loc = self._zero_copy_execute(
-                dest, handle, method, args, size)
-            self.stats.bytes_avoided += 32 + estimate_size(result)
-            fut = Future(rt, self.id, dest)
-            fut._resolve(result, dst_loc.clock)
-            return fut
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        fut = Future(rt, self.id, dest)
-        msg = Message(self.id, dest, handle, method, args, size, self.clock,
-                      rt.current_origin, future=fut)
-        if rt.network.enqueue(msg):
-            self.clock += m.msg_overhead
-            self.stats.physical_messages += 1
-        return fut
+        return self._send(dest, handle, method, args,
+                          32 + estimate_size(args),
+                          self.runtime.current_origin, reply=True)
 
     def poll(self) -> int:
         """Execute all buffered RMIs destined to this location; returns the
@@ -478,63 +434,22 @@ class Location:
         payload travels in a single physical message.  Source-FIFO ordering
         with scalar RMIs on the same channel is preserved (the slab enters
         the same per-(src, dst) queue)."""
-        rt = self.runtime
-        m = rt.machine
         if self._combining:
             self.flush_combining(dest)
-        size = 64 + estimate_size(args)
         self.stats.bulk_rmi_sent += 1
         self.stats.bulk_elements_moved += nelems
-        if self.zero_copy_local(dest):
-            # whole slab lands in the destination bContainer with no
-            # serialization: payload bytes never hit the wire
-            self._zero_copy_execute(dest, handle, method, args, size)
-            return
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        msg = Message(self.id, dest, handle, method, args, size, self.clock,
-                      rt.current_origin, bulk=True)
-        if rt.network.enqueue(msg):
-            self.clock += m.msg_overhead
-            self.stats.physical_messages += 1
+        self._send(dest, handle, method, args, 64 + estimate_size(args),
+                   self.runtime.current_origin, bulk=True)
 
     def bulk_get_range(self, dest: int, handle: int, method: str, *args,
                        nelems: int = 0):
         """Blocking slab fetch: one request message out, one slab reply
         back.  Pending asyncs to ``dest`` execute first (source FIFO)."""
-        rt = self.runtime
-        m = rt.machine
         self.stats.bulk_rmi_sent += 1
         self.stats.bulk_elements_moved += nelems
         if self._combining:
             self.flush_combining(dest)
-        rt.flush_channel(self.id, dest)
-        size = 64 + estimate_size(args)
-        if self.zero_copy_local(dest):
-            result, dst_loc = self._zero_copy_execute(
-                dest, handle, method, args, size)
-            self.stats.bytes_avoided += 64 + estimate_size(result)
-            self.clock = dst_loc.clock
-            return result
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        dst_loc = rt.locations[dest]
-        if dest != self.id:
-            self.stats.physical_messages += 2  # request + slab reply
-            lat = m.latency(self.id, dest, rt.nlocs, rt.placement)
-            bc = m.byte_cost(self.id, dest, rt.nlocs, rt.placement)
-            arrival = self.clock + lat + size * bc
-            if dst_loc.clock < arrival:
-                dst_loc.clock = arrival
-            dst_loc.clock += m.o_recv
-            result = rt._run_handler(dst_loc, handle, method, args, self.id)
-            rsize = 64 + estimate_size(result)
-            dst_loc.stats.bytes_sent += rsize  # slab reply, charged to replier
-            self.clock = dst_loc.clock + lat + rsize * bc + m.o_recv
-        else:
-            self.clock += m.o_recv
-            result = rt._run_handler(dst_loc, handle, method, args, self.id)
-        return result
+        return self._round_trip(dest, handle, method, args, 64)
 
     def bulk_exchange(self, slabs: list, group: "LocationGroup | None" = None,
                       nelems: int = 0) -> list:
@@ -547,8 +462,7 @@ class Location:
         *remote* node coalesce into a single inter-node message carrying
         their combined payload; the lowest-numbered destination on that node
         (the node leader) scatters the other slabs over cheap intra-node
-        messages.  Same-node destinations pay intra-node rates, or nothing
-        beyond ``t_lock`` when the zero-copy fast path is on.  With one
+        messages.  Same-node destinations pay intra-node rates.  With one
         location per node this degenerates to the classic one physical
         message per non-empty (src, dst) pair, payload bytes charged once."""
         rt = self.runtime
@@ -571,11 +485,6 @@ class Location:
             targets = by_node[node]
             if node == my_node:
                 for member, size in targets:
-                    if self.zero_copy_local(member):
-                        self.charge_lock()
-                        self.stats.local_node_invocations += 1
-                        self.stats.bytes_avoided += size
-                        continue
                     self.clock += (m.o_send + m.msg_overhead
                                    + size * m.byte_intra)
                     self.stats.bulk_rmi_sent += 1
@@ -629,12 +538,6 @@ class Location:
             for member in group.members:
                 if member == self.id:
                     continue
-                if self.zero_copy_local(member):
-                    # same-node reader maps the slab directly: no wire bytes
-                    self.charge_lock()
-                    self.stats.local_node_invocations += 1
-                    self.stats.bytes_avoided += size
-                    continue
                 bc = m.byte_cost(self.id, member, rt.nlocs, rt.placement)
                 self.clock += m.o_send + m.msg_overhead + size * bc
                 self.stats.bulk_rmi_sent += 1
@@ -659,15 +562,9 @@ class Location:
         Buffered records flush, in append order, at the combining-window
         boundary, at a fence, before any other RMI to the same destination
         (preserving source-FIFO order with scalar RMIs on the channel), or
-        on an explicit :meth:`flush_combining`.
-
-        Destinations reachable over the zero-copy intra-node fast path are
-        not buffered either (returns False): combining exists to cut
-        message count, and a fast-path op produces no message — executing
-        it directly is cheaper than buffering and replaying it."""
+        on an explicit :meth:`flush_combining`."""
         rt = self.runtime
-        if (not combining_enabled() or dest == self.id or rt._exec_depth
-                or self.zero_copy_local(dest)):
+        if not combining_enabled() or dest == self.id or rt._exec_depth:
             return False
         buf = self._combining.get(dest)
         if buf is None:
@@ -713,27 +610,13 @@ class Location:
         records = self._combining.pop(dest, None)
         if not records:
             return 0
-        rt = self.runtime
-        m = rt.machine
-        size = 64 + estimate_size(records)
         self.stats.combining_flushes += 1
-        if self.zero_copy_local(dest):
-            # replay the whole buffer directly against the destination:
-            # one lock acquire, no message, no serialized bytes
-            self._zero_copy_execute(dest, records[0][0], "_apply_combined",
-                                    (records,), size)
-            return len(records)
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
         # the message routes through the first record's p_object; its
         # _apply_combined handler re-routes each record by handle.  Records
         # are only buffered outside handlers, so the originating location
         # is always this one (never a forwarded origin).
-        msg = Message(self.id, dest, records[0][0], "_apply_combined",
-                      (records,), size, self.clock, self.id, bulk=True)
-        if rt.network.enqueue(msg):
-            self.clock += m.msg_overhead
-            self.stats.physical_messages += 1
+        self._send(dest, records[0][0], "_apply_combined", (records,),
+                   64 + estimate_size(records), self.id, bulk=True)
         return len(records)
 
     def _flush_combining_coalesced(self, dests: list) -> int:
@@ -745,9 +628,9 @@ class Location:
         Unlike :meth:`bulk_exchange` — whose leader scatter is pure cost
         bookkeeping because the slabs are delivered by the alltoall
         rendezvous — the forwarded bundles here carry *executions*, so the
-        leader re-sends them as real intra-node asyncs (zero-copy when the
-        fast path is on): that keeps fence quiescence and ``os_fence``
-        origin tracking working through the indirection."""
+        leader re-sends them as real intra-node asyncs: that keeps fence
+        quiescence and ``os_fence`` origin tracking working through the
+        indirection."""
         rt = self.runtime
         m = rt.machine
         my_node = m.node_of(self.id, rt.nlocs, rt.placement)
@@ -759,26 +642,20 @@ class Location:
         for node in sorted(by_node):
             ds = by_node[node]
             if node == my_node or len(ds) == 1:
-                # own node (fast path / cheap intra messages) or a single
+                # own node (cheap intra-node messages) or a single
                 # destination: nothing to coalesce
                 for d in ds:
                     n += self._flush_combining_buffer(d)
                 continue
             leader = ds[0]
             bundles = [(d, self._combining.pop(d)) for d in ds]
-            size = 64 + estimate_size(bundles)
-            self.clock += m.o_send
             self.stats.combining_flushes += 1
             self.stats.coalesced_messages += 1
-            self.stats.bytes_sent += size
             # routed through the leader bundle's first record handle — a
             # p_object guaranteed to have a representative on the leader
-            msg = Message(self.id, leader, bundles[0][1][0][0],
-                          "_apply_node_combined", (bundles,), size,
-                          self.clock, self.id, bulk=True)
-            if rt.network.enqueue(msg):
-                self.clock += m.msg_overhead
-                self.stats.physical_messages += 1
+            self._send(leader, bundles[0][1][0][0], "_apply_node_combined",
+                       (bundles,), 64 + estimate_size(bundles), self.id,
+                       bulk=True)
             n += sum(len(records) for _, records in bundles)
         return n
 
@@ -1241,21 +1118,20 @@ class Runtime:
         return max(loc.clock for loc in self.locations)
 
 
-def _backend_runners(backend: str | None):
-    """Resolve (run, run_detailed) for the requested or current backend;
-    None means the in-process simulated pair."""
-    name = backend or current_backend()
-    if name == "simulated":
+def _backend_runners(backend: str):
+    """Resolve (run, run_detailed) for the requested backend; None means
+    the in-process simulated pair."""
+    if backend == "simulated":
         return None
-    if name == "multiprocessing":
+    if backend == "multiprocessing":
         from . import mp  # imported lazily: pulls in multiprocessing machinery
 
         return mp.mp_spmd_run, mp.mp_spmd_run_detailed
-    raise SpmdError(f"unknown execution backend {name!r}")
+    raise SpmdError(f"unknown execution backend {backend!r}")
 
 
 def spmd_run(fn: Callable, nlocs: int = 4, machine="smp", args: tuple = (),
-             placement: str = "packed", backend: str | None = None,
+             placement: str = "packed", backend: str = "simulated",
              **backend_opts) -> list:
     """Run an SPMD program; returns the per-location return values.
 
@@ -1263,10 +1139,11 @@ def spmd_run(fn: Callable, nlocs: int = 4, machine="smp", args: tuple = (),
     :class:`Location` context, exactly like a ``stapl_main`` under
     ``mpiexec -n nlocs``.
 
-    ``backend`` overrides the process-wide :func:`~.comm.set_backend`
-    selection for this run ("simulated" or "multiprocessing");
-    ``backend_opts`` (e.g. ``timeout=...``) are passed to a real backend's
-    launcher and must be empty for the simulator.
+    ``backend`` selects the execution backend for this run ("simulated" —
+    the deterministic virtual-time oracle — or "multiprocessing" — one OS
+    process per location); ``backend_opts`` (e.g. ``timeout=...``) are
+    passed to a real backend's launcher and must be empty for the
+    simulator.
     """
     runners = _backend_runners(backend)
     if runners is None:
@@ -1305,7 +1182,7 @@ class SpmdReport:
 
 def spmd_run_detailed(fn: Callable, nlocs: int = 4, machine="smp",
                       args: tuple = (), placement: str = "packed",
-                      backend: str | None = None,
+                      backend: str = "simulated",
                       **backend_opts) -> SpmdReport:
     """Like :func:`spmd_run` but also returns clocks, traffic stats and —
     for a real backend — wall-clock time."""

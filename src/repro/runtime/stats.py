@@ -11,14 +11,10 @@ buffers; ``combining_flushes`` counts the physical messages that carried
 them (one per buffer flush; a node-coalesced flush carrying several
 buffers counts once).
 
-Mixed-mode (node-topology-aware) counters: ``local_node_invocations``
-counts RMIs that took the zero-copy intra-node fast path (executed directly
-against the destination bContainer under ``t_lock`` instead of being
-marshaled into a message); ``bytes_avoided`` accumulates the wire bytes
-those RMIs would have serialized on the message path.
-``coalesced_messages`` counts inter-node messages that carried payloads for
-several locations on the destination node (scattered intra-node by the node
-leader) — one per coalesced bulk-exchange send or combining flush.
+Mixed-mode (node-topology-aware) counter: ``coalesced_messages`` counts
+inter-node messages that carried payloads for several locations on the
+destination node (scattered intra-node by the node leader) — one per
+coalesced bulk-exchange send or combining flush.
 
 Task-graph executor counters: ``tasks_executed`` counts work-function tasks
 run by the dependence-driven executor (:mod:`repro.algorithms.prange`) —
@@ -78,13 +74,11 @@ class LocationStats:
     combining_flushes: int = 0
     rmi_executed: int = 0
     local_invocations: int = 0
-    local_node_invocations: int = 0
     remote_invocations: int = 0
     forwarded: int = 0
     physical_messages: int = 0
     coalesced_messages: int = 0
     bytes_sent: int = 0
-    bytes_avoided: int = 0
     lock_acquires: int = 0
     fences: int = 0
     subgroup_fences: int = 0

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..core.domains import RangeDomain
 from ..core.partitions import balanced_sizes
-from ..runtime.comm import mp_zero_copy_enabled
 
 #: process-wide switch for the bulk element-transport fast path.  On, a
 #: GenericChunk whose view supports contiguous range accessors moves whole
@@ -47,14 +46,13 @@ def slab_passthrough(view) -> bool:
     """May bulk slab values stay NumPy arrays (possibly read-only
     zero-copy views over shared memory) instead of being lowered to plain
     lists?  True exactly when the view's container runs on a real
-    (process-per-location) backend with zero-copy transport enabled —
-    there the ``tolist`` lowering would forfeit the zero-copy receive.
+    (process-per-location) backend — there the ``tolist`` lowering would
+    forfeit the zero-copy receive.
     Under the simulated backend slabs keep their historical plain-list
     form, so sim-vs-real differential results stay byte-identical."""
     c = getattr(view, "container", None)
     rt = getattr(c, "runtime", None)
-    return (rt is not None and not rt.shared_address_space
-            and mp_zero_copy_enabled())
+    return rt is not None and not rt.shared_address_space
 
 
 def sync_views(views) -> None:

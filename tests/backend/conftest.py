@@ -4,7 +4,7 @@ Every test here launches real OS processes, so hygiene is explicit:
 
 * ``mp_teardown`` (autouse) reaps any worker the test leaked (a failure
   mid-run must not poison later tests with orphan processes or stale
-  ``/dev/shm`` segments) and restores the process-wide backend selection.
+  ``/dev/shm`` segments).
 * ``run_differential`` runs one SPMD program under the simulated oracle
   and under the multiprocessing backend and asserts the results are
   byte-identical (canonical pickle of the canonicalised values) — the
@@ -22,7 +22,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.runtime import set_backend, spmd_run
+from repro.runtime import spmd_run
 
 #: hard per-run wall-clock cap: a deadlocked fence fails the test quickly
 #: instead of hanging the suite (CI adds a job-level `timeout` on top)
@@ -88,7 +88,6 @@ def pytest_collection_modifyitems(items):
 def mp_teardown():
     """Reap leaked workers and shared-memory segments after every test."""
     yield
-    set_backend("simulated")
     for proc in multiprocessing.active_children():
         if proc.name.startswith("repro-loc-"):
             proc.terminate()
@@ -110,8 +109,8 @@ def run_differential():
                         **backend_opts)
         assert canonical_bytes(sim) == canonical_bytes(real), (
             f"backend divergence at P={nlocs}:\n sim={sim!r}\n real={real!r}")
-        # zero-copy leak audit: every worker's arena must have unlinked
-        # all of its segments (pooled, storage and legacy) on the way out
+        # leak audit: every worker's arena must have unlinked all of its
+        # segments (pooled and storage) on the way out
         leaked = glob.glob("/dev/shm/rs*")
         assert not leaked, f"shared-memory segments leaked: {leaked}"
         return sim

@@ -12,7 +12,7 @@ from repro.runtime import (
     spmd_run,
     spmd_run_detailed,
 )
-from repro.runtime.mp import ShmSlab, pack_payload, unpack_payload
+from repro.runtime.mp import ShmArena, ShmSlab, pack_payload, unpack_payload
 
 TIMEOUT = 60.0
 
@@ -183,11 +183,14 @@ class TestSlabTransport:
         small = np.arange(8)
         big = np.arange(4096, dtype=np.int64)
         names = iter(f"rstest_pk_{i}" for i in range(10))
-        packed = pack_payload((small, {"x": big}), lambda: next(names),
-                              threshold=1024)
-        assert isinstance(packed[0], np.ndarray)  # below threshold: inline
-        assert isinstance(packed[1]["x"], ShmSlab)
-        out = unpack_payload(packed)
+        arena = ShmArena(lambda: next(names))
+        try:
+            packed = pack_payload((small, {"x": big}), arena, threshold=1024)
+            assert isinstance(packed[0], np.ndarray)  # below: inline
+            assert isinstance(packed[1]["x"], ShmSlab)
+            out = unpack_payload(packed)
+        finally:
+            arena.dispose()
         np.testing.assert_array_equal(out[0], small)
         np.testing.assert_array_equal(out[1]["x"], big)
 

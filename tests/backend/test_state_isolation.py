@@ -7,8 +7,8 @@ contract the launcher must uphold:
 
 * toggles set *before* the run are snapshotted and re-applied inside every
   worker (``snapshot_toggles``/``apply_toggles``);
-* the process-wide default backend (``set_backend``) routes ``spmd_run``
-  without an explicit ``backend=`` argument;
+* the backend is chosen per run by ``spmd_run(..., backend=)`` and nothing
+  else (default: the simulator);
 * state mutated *inside* a worker does not leak back into the parent, and
   one run's state does not bleed into the next.
 """
@@ -16,19 +16,16 @@ contract the launcher must uphold:
 import pytest
 
 from repro.runtime import (
+    SpmdError,
     apply_toggles,
-    available_backends,
     combining_enabled,
-    current_backend,
-    set_backend,
     set_combining,
     set_combining_window,
-    set_zero_copy,
     snapshot_toggles,
     spmd_run,
     spmd_run_detailed,
-    zero_copy_enabled,
 )
+from repro.views.base import bulk_transport_enabled, set_bulk_transport
 
 
 def _observe_toggles(ctx):
@@ -44,13 +41,13 @@ class TestTogglePropagation:
         try:
             set_combining(False)
             set_combining_window(77)
-            set_zero_copy(True)
+            set_bulk_transport(False)
             out = spmd_run(_observe_toggles, nlocs=2,
                            backend="multiprocessing", timeout=60.0)
             for _lid, snap in out:
                 assert snap["combining"] is False
                 assert snap["combining_window"] == 77
-                assert snap["zero_copy"] is True
+                assert snap["bulk_transport"] is False
         finally:
             apply_toggles(baseline)
 
@@ -65,33 +62,30 @@ class TestTogglePropagation:
         baseline = snapshot_toggles()
         try:
             set_combining(not baseline["combining"])
-            set_zero_copy(not baseline["zero_copy"])
+            set_bulk_transport(not baseline["bulk_transport"])
             mutated = snapshot_toggles()
             assert mutated != baseline
             apply_toggles(baseline)
             assert snapshot_toggles() == baseline
             apply_toggles(mutated)
             assert combining_enabled() is not baseline["combining"]
-            assert zero_copy_enabled() is not baseline["zero_copy"]
+            assert bulk_transport_enabled() is not baseline["bulk_transport"]
         finally:
             apply_toggles(baseline)
 
 
 def _mutate_toggles(ctx):
     set_combining(False)
-    set_zero_copy(True)
-    set_backend("multiprocessing")
+    set_bulk_transport(False)
     return ctx.id
 
 
 class TestIsolation:
     def test_worker_mutations_do_not_leak_to_parent(self):
         baseline = snapshot_toggles()
-        backend_before = current_backend()
         spmd_run(_mutate_toggles, nlocs=2, backend="multiprocessing",
                  timeout=60.0)
         assert snapshot_toggles() == baseline
-        assert current_backend() == backend_before
 
     def test_no_cross_run_state_leak(self):
         # Two back-to-back runs with opposite toggle settings: the second
@@ -111,29 +105,16 @@ class TestIsolation:
 
 
 class TestBackendSelection:
-    def test_registry(self):
-        assert available_backends() == ("simulated", "multiprocessing")
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("mpi")
-
-    def test_set_backend_routes_default_dispatch(self):
-        try:
-            set_backend("multiprocessing")
-            assert current_backend() == "multiprocessing"
-            rep = spmd_run_detailed(lambda ctx: ctx.allreduce_rmi(1),
-                                    nlocs=2, timeout=60.0)
-            assert rep.backend == "multiprocessing"
-            assert rep.results == [2, 2]
-        finally:
-            set_backend("simulated")
-        rep = spmd_run_detailed(lambda ctx: ctx.allreduce_rmi(1), nlocs=2)
-        assert rep.backend == "simulated"
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(SpmdError, match="unknown execution backend"):
+            spmd_run(lambda ctx: ctx.id, nlocs=2, backend="mpi")
 
     def test_explicit_backend_overrides_default(self):
-        try:
-            set_backend("multiprocessing")
-            rep = spmd_run_detailed(lambda ctx: ctx.id, nlocs=2,
-                                    backend="simulated")
-            assert rep.backend == "simulated"
-        finally:
-            set_backend("simulated")
+        rep = spmd_run_detailed(lambda ctx: ctx.allreduce_rmi(1), nlocs=2,
+                                backend="multiprocessing", timeout=60.0)
+        assert rep.backend == "multiprocessing"
+        assert rep.results == [2, 2]
+        rep = spmd_run_detailed(lambda ctx: ctx.allreduce_rmi(1), nlocs=2)
+        assert rep.backend == "simulated"
+        with pytest.raises(TypeError, match="takes no options"):
+            spmd_run_detailed(lambda ctx: ctx.id, nlocs=2, timeout=60.0)

@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import Message, PObject, estimate_size, spmd_run
-from repro.runtime.mp import pack_payload, unpack_payload, wire_dumps, wire_loads
+from repro.runtime.mp import (
+    ShmArena,
+    pack_payload,
+    unpack_payload,
+    wire_dumps,
+    wire_loads,
+)
 
 DTYPES = st.sampled_from(["int8", "uint16", "int32", "int64",
                           "float32", "float64", "complex128", "bool"])
@@ -34,9 +40,13 @@ def _namer():
 def test_slab_pack_unpack_identity(dtype, shape, threshold):
     rng = np.random.default_rng(abs(hash((dtype, tuple(shape)))) % 2**32)
     arr = (rng.random(shape) * 100).astype(dtype)
-    packed = pack_payload({"a": arr, "n": [arr, 3]}, _namer,
-                          threshold=threshold)
-    out = unpack_payload(packed)
+    arena = ShmArena(_namer)
+    try:
+        packed = pack_payload({"a": arr, "n": [arr, 3]}, arena,
+                              threshold=threshold)
+        out = unpack_payload(packed)
+    finally:
+        arena.dispose()
     np.testing.assert_array_equal(out["a"], arr, strict=True)
     np.testing.assert_array_equal(out["n"][0], arr, strict=True)
     assert out["n"][1] == 3

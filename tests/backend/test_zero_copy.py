@@ -1,12 +1,12 @@
-"""Zero-copy shared-memory storage: arena lifecycle, slab modes, and the
-end-to-end transport-mode differential (ISSUE 9 acceptance).
+"""Zero-copy shared-memory storage: arena lifecycle, pooled vs live slab
+references, and the end-to-end slab-heavy differential.
 
 Covers, in-process (no workers): the :class:`ShmArena` pooled free-list
 (size classes, epoch reclamation, exchange-channel reuse lag), live
 bContainer storage registration, and the pooled/live pack/unpack round
 trips.  End-to-end (real workers): byte-identity of a slab-heavy program
-across simulated / copy-out / zero-copy transports, a ``/dev/shm`` leak
-audit, the spawn start-method smoke test, and the slab-threshold toggle.
+between the simulator and the shared-memory transport, a ``/dev/shm`` leak
+audit, and the spawn start-method smoke test.
 
 Property tests at the bottom assert arena-backed slab views stay
 bit-identical across an epoch boundary (the migration-epoch contract:
@@ -21,12 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import (
-    set_mp_zero_copy,
-    set_shm_slab_threshold,
-    shm_slab_threshold,
-    spmd_run,
-)
+from repro.runtime import spmd_run
 from repro.runtime.mp import (
     SegmentCache,
     ShmArena,
@@ -132,7 +127,7 @@ def test_pooled_round_trip_and_warm_reuse(arena):
     try:
         src = np.arange(512, dtype=np.int64)
         ref = pack_payload(src, arena, threshold=1)
-        assert isinstance(ref, ShmSlab) and ref.mode == "pooled"
+        assert isinstance(ref, ShmSlab)
         out = unpack_payload(ref, cache)
         assert not out.flags.writeable
         np.testing.assert_array_equal(out, src, strict=True)
@@ -153,7 +148,8 @@ def test_live_round_trip_is_a_reference(arena):
         arr = arena.storage_alloc((256,), "int64")
         arr[...] = np.arange(256)
         ref = pack_payload(arr, arena, threshold=1, live_ok=True)
-        assert isinstance(ref, ShmSlab) and ref.mode == "live"
+        assert isinstance(ref, ShmSlab)
+        assert (ref.name, ref.offset) == arena.find_live(arr)
         view = unpack_payload(ref, cache)
         assert not view.flags.writeable
         np.testing.assert_array_equal(view, arr, strict=True)
@@ -169,7 +165,8 @@ def test_live_needs_live_ok(arena):
     arr = arena.storage_alloc((256,), "int64")
     arr[...] = 7
     ref = pack_payload(arr, arena, threshold=1)
-    assert ref.mode == "pooled"  # async sends always snapshot
+    # async sends always snapshot into a pooled segment
+    assert ref.name != arena.find_live(arr)[0]
 
 
 def test_unpack_without_cache_copies_but_never_unlinks(arena):
@@ -184,7 +181,7 @@ def test_unpack_without_cache_copies_but_never_unlinks(arena):
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: transport-mode differential, leak audit, spawn, threshold
+# End-to-end: slab-heavy differential, leak audit, spawn
 # ---------------------------------------------------------------------------
 
 
@@ -208,18 +205,10 @@ def _slab_heavy_prog(ctx):
     return pa.to_list(), [int(a.sum()) for a in gathered]
 
 
-def test_three_mode_differential(run_differential):
-    """sim == mp copy-out == mp zero-copy, byte-identical.  Each
-    ``run_differential`` call asserts sim == that transport mode; the two
-    sim baselines must agree too (the oracle is deterministic), closing
-    the three-way identity."""
-    prev = set_mp_zero_copy(False)
-    try:
-        copy_out = run_differential(_slab_heavy_prog, 4)
-    finally:
-        set_mp_zero_copy(prev)
-    zero_copy = run_differential(_slab_heavy_prog, 4)
-    assert copy_out == zero_copy
+def test_slab_heavy_differential(run_differential):
+    """sim == mp, byte-identical, on a program whose traffic is mostly
+    pooled slabs and live bulk-reply references."""
+    run_differential(_slab_heavy_prog, 4)
 
 
 def test_no_segment_leaks_after_run():
@@ -241,24 +230,6 @@ def test_spawn_start_method_smoke(run_differential):
 
     out = run_differential(prog, 2, start_method="spawn")
     assert out == [[17, 18]] * 2
-
-
-def test_threshold_toggle_validates_and_applies():
-    with pytest.raises(ValueError):
-        set_shm_slab_threshold(-1)
-    prev = set_shm_slab_threshold(1 << 20)
-    try:
-        assert shm_slab_threshold() == 1 << 20
-        arena = ShmArena(_namer)
-        try:
-            # below the raised threshold: ships inline, no slab
-            out = pack_payload(np.arange(4096, dtype=np.int64), arena)
-            assert isinstance(out, np.ndarray)
-        finally:
-            arena.dispose()
-    finally:
-        set_shm_slab_threshold(prev)
-    assert shm_slab_threshold() == prev
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +256,7 @@ def test_storage_slab_survives_epochs(dtype, shape, live, epochs):
         assert arr is not None
         arr[...] = (rng.random(shape) * 100).astype(dtype)
         ref = pack_payload(arr, arena, threshold=1, live_ok=live)
-        assert ref.mode == ("live" if live else "pooled")
+        assert (ref.name == arena.find_live(arr)[0]) is live
         view = unpack_payload(ref, cache)
         before = view.copy()
         for _ in range(epochs):

@@ -10,7 +10,6 @@ import pytest
 from repro.evaluation.bench import (
     SCHEMA_VERSION,
     BaselineError,
-    bench_payload,
     check_against_baseline,
     compare_payloads,
     update_baseline,
@@ -38,11 +37,6 @@ def _v2(kernels=("reduce", "scan")):
                       "efficiency": 0.833}}
             for k in kernels}},
     }
-
-
-def _v1(kernels=("reduce", "scan")):
-    return {"generated": "2025-01-01", "machine": "cray4", "P": 2,
-            "n_per_loc": 128, "kernels": {k: _metrics() for k in kernels}}
 
 
 class TestComparator:
@@ -109,17 +103,9 @@ class TestComparator:
         assert report.ok
         assert ("snapshot", "scan") in report.added
 
-    def test_v1_baseline_compares_snapshot_only(self):
-        report = compare_payloads(_v1(), _v2())
-        assert report.ok
-        assert report.compared == 2  # the two snapshot kernels only
-        v1_bad = _v1()
-        v1_bad["kernels"]["reduce"]["time_us"] = 80.0  # fresh is +25%
-        assert not compare_payloads(v1_bad, _v2()).ok
-
     def test_malformed_baseline_raises(self):
         with pytest.raises(BaselineError):
-            compare_payloads({"generated": "x"}, _v2())  # v1 w/o kernels
+            compare_payloads({"generated": "x"}, _v2())  # no schema_version
         with pytest.raises(BaselineError):
             compare_payloads({"schema_version": SCHEMA_VERSION}, _v2())
 
@@ -189,16 +175,6 @@ class TestGateEndToEnd:
         bad.write_text("{not json")
         assert bench_main(["--check", str(bad)]) == 2
         assert bench_main(["--check", str(tmp_path / "missing.json")]) == 2
-
-    def test_check_accepts_v1_snapshot(self, tmp_path):
-        payload = bench_payload(generated="t", snapshot=(2, 64),
-                                strong=None, weak=None, ablations=None)
-        snap = payload["snapshot"]
-        v1 = {"generated": "t", "machine": "cray4", "P": snap["P"],
-              "n_per_loc": snap["n_per_loc"], "kernels": snap["kernels"]}
-        path = tmp_path / "BENCH_v1.json"
-        path.write_text(json.dumps(v1))
-        assert check_against_baseline(str(path)) == 0
 
     def test_update_baseline_preserves_recorded_sections(self, tmp_path):
         path = tmp_path / "BENCH_tiny.json"
