@@ -62,6 +62,7 @@ from .runtime import (
     LocationGroup,
     PObject,
     Runtime,
+    RuntimeConfig,
     spmd_run,
     spmd_run_detailed,
 )

@@ -67,9 +67,7 @@ from .prange import (
     Paragraph,
     PRange,
     Task,
-    dataflow_enabled,
     run_map,
-    set_dataflow,
 )
 from .sorting import p_is_sorted, p_sample_sort
 from .sssp import distances_of, sssp

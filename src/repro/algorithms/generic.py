@@ -17,8 +17,8 @@ import operator
 import numpy as np
 
 from ..core.domains import RangeDomain
-from ..views.base import Workfunction, bulk_transport_enabled
-from .prange import Executor, Paragraph, PRange, dataflow_enabled
+from ..views.base import Workfunction
+from .prange import Executor, Paragraph, PRange
 
 
 def _finish(view) -> None:
@@ -29,7 +29,7 @@ def _read_slab(view, dom: RangeDomain) -> list:
     """Read ``[dom.lo, dom.hi)`` through the bulk transport when the view
     supports it (one slab per owning location), else element-wise."""
     rr = getattr(view, "read_range", None)
-    if bulk_transport_enabled() and rr is not None:
+    if view.container.runtime.config.bulk_transport and rr is not None:
         vals = rr(dom.lo, dom.hi)
         if vals is not None:
             return vals.tolist() if hasattr(vals, "tolist") else list(vals)
@@ -40,7 +40,8 @@ def _write_slab(view, lo: int, values) -> None:
     """Write ``values`` at consecutive indices from ``lo``, bulk if
     possible."""
     wr = getattr(view, "write_range", None)
-    if bulk_transport_enabled() and wr is not None and len(values):
+    if (view.container.runtime.config.bulk_transport and wr is not None
+            and len(values)):
         if wr(lo, values):
             return
     for k, v in enumerate(values):
@@ -276,7 +277,7 @@ def p_adjacent_difference(src, dst) -> None:
     boundary read.  Fenced baseline: one sync remote boundary read per
     location — the overlap-view pattern (Fig. 2) with window
     (c=1, l=1, r=0)."""
-    if dataflow_enabled():
+    if src.ctx.config.dataflow:
         _adjacent_difference_dataflow(src, dst)
         return
     ctx = src.ctx
@@ -347,7 +348,7 @@ def p_partial_sum(src, dst, op=operator.add, inclusive: bool = True) -> None:
     tail of the computation instead of synchronising every member at a
     scan collective.  Fenced baseline: exclusive scan collective of local
     totals."""
-    if dataflow_enabled():
+    if src.ctx.config.dataflow:
         _partial_sum_dataflow(src, dst, op, inclusive)
         return
     ctx = src.ctx

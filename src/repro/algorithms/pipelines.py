@@ -20,7 +20,7 @@ from .generic import (
     p_adjacent_difference,
     p_partial_sum,
 )
-from .prange import Paragraph, dataflow_enabled
+from .prange import Paragraph
 from .sorting import build_sort_tasks, p_sample_sort
 
 
@@ -41,7 +41,7 @@ def p_sort_scan_pipeline(src, sum_dst, diff_dst, oversample: int = 4,
 
     Results are byte-identical between the modes for exact element types
     (the evaluation drives it with integers)."""
-    if not dataflow_enabled():
+    if not src.ctx.config.dataflow:
         p_sample_sort(src, oversample)
         p_partial_sum(src, sum_dst, op)
         p_adjacent_difference(src, diff_dst)

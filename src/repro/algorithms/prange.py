@@ -29,7 +29,7 @@ STAPL work.  Two layers live here:
 
 The data-parallel pAlgorithms of :mod:`repro.algorithms.generic` compile to
 single-phase pRanges; the sorting/scan/SSSP algorithms build Paragraphs when
-the data-flow path is on (:func:`set_dataflow`) and fall back to their
+the data-flow path is on (``RuntimeConfig.dataflow``) and fall back to their
 fence-per-phase forms when it is off, so both remain measurable head-to-head
 (``evaluation/paragraph_figs.py``).
 """
@@ -40,27 +40,6 @@ from collections import deque
 
 from ..runtime.p_object import PObject
 from ..views.base import as_wf, sync_views
-
-#: process-wide switch for the dependence-driven (PARAGRAPH) algorithm
-#: paths.  On, multi-phase algorithms replace per-phase fences/collectives
-#: with cross-location data-flow edges; off, they run their legacy
-#: fence-per-phase forms.  Exists so the evaluation can assert
-#: byte-identical results and measure the fence/time win head-to-head.
-_DATAFLOW = True
-
-
-def dataflow_enabled() -> bool:
-    return _DATAFLOW
-
-
-def set_dataflow(on: bool) -> bool:
-    """Toggle the dependence-driven algorithm paths; returns the previous
-    setting."""
-    global _DATAFLOW
-    prev = _DATAFLOW
-    _DATAFLOW = bool(on)
-    return prev
-
 
 class Task:
     """One unit of work: run ``action(chunk)`` once its dependences are
@@ -417,5 +396,4 @@ def run_map(view, action, fence: bool = True) -> list:
     return Executor(fence=fence).run(PRange.map_over(view, action))
 
 
-__all__ = ["Executor", "PRange", "Paragraph", "Task", "as_wf",
-           "dataflow_enabled", "run_map", "set_dataflow"]
+__all__ = ["Executor", "PRange", "Paragraph", "Task", "as_wf", "run_map"]

@@ -6,7 +6,7 @@ exchange → local merge → write back in globally sorted order.
 
 Two execution modes share the phase kernels:
 
-* data-flow (default, :func:`~repro.algorithms.prange.set_dataflow`): the
+* data-flow (default, ``RuntimeConfig.dataflow``): the
   phases run as **one PARAGRAPH** — samples, buckets, and the running
   write-back offset travel as cross-location dependence messages, so the
   whole sort needs a single closing fence and no collectives;
@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .generic import _read_slab, _write_slab
-from .prange import Paragraph, dataflow_enabled
+from .prange import Paragraph
 
 
 def _select_splitters(all_samples, P: int) -> list:
@@ -85,7 +85,7 @@ def _local_sorted_sample(view, sl, oversample: int):
 
 def p_sample_sort(view, oversample: int = 4) -> None:
     """Sort the elements of a 1D view in place (collective)."""
-    if dataflow_enabled():
+    if view.ctx.config.dataflow:
         pg = Paragraph(view.ctx, views=(view,))
         build_sort_tasks(pg, view, oversample, {})
         pg.run()

@@ -10,8 +10,8 @@ Two execution modes:
   per-round fence.  Termination is the Paragraph quiescence reduction: all
   locations idle and every relaxation message executed.
 
-* **Level-synchronous baseline** (``set_dataflow(False)``): rounds of
-  relaxations separated by fences, termination by a global no-change
+* **Level-synchronous baseline** (``RuntimeConfig(dataflow=False)``): rounds
+  of relaxations separated by fences, termination by a global no-change
   reduction.
 
 Both modes leave byte-identical distances (Bellman–Ford is confluent: the
@@ -23,7 +23,7 @@ weight 1).
 from __future__ import annotations
 
 from .graph_algorithms import _AlgoState, _init_properties, _local_bc_of
-from .prange import Paragraph, dataflow_enabled
+from .prange import Paragraph
 
 INF = float("inf")
 
@@ -33,7 +33,7 @@ def sssp(graph, source: int, default_weight: float = 1.0):
     ``inf`` if unreachable).  Returns the number of rounds: relaxation
     rounds in level-synchronous mode, quiescence-reduction rounds in the
     asynchronous data-flow mode."""
-    if dataflow_enabled():
+    if graph.ctx.config.dataflow:
         return _sssp_async(graph, source, default_weight)
     return _sssp_level_sync(graph, source, default_weight)
 
@@ -87,7 +87,7 @@ def _sssp_async(graph, source: int, default_weight: float):
 
 
 def _sssp_level_sync(graph, source: int, default_weight: float):
-    """Fence-per-round baseline (kept testable via ``set_dataflow``)."""
+    """Fence-per-round baseline (``RuntimeConfig(dataflow=False)``)."""
     ctx = graph.ctx
     rt = graph.runtime
     group = graph.group

@@ -128,7 +128,7 @@ class AssociativeBase(PContainerDynamic):
     # -- batch interface (combining-buffer clients) ---------------------------
     # Each op is still resolved and charged per key (lookup + locking), but
     # remote records coalesce into one physical message per combining
-    # window; with ``set_combining(False)`` these degrade to one RMI per
+    # window; with ``RuntimeConfig(combining=False)`` these degrade to one RMI per
     # element, which is exactly what the ablation measures.
 
     def insert_range(self, items) -> None:

@@ -34,9 +34,7 @@ from .mappers import BlockedMapper, CyclicMapper, GeneralMapper, PartitionMapper
 from .migration import (
     LookupCache,
     MigrationMixin,
-    lookup_cache_enabled,
     lpt_assignment,
-    set_lookup_cache,
 )
 from .memory import (
     MemoryReport,

@@ -34,7 +34,7 @@ node is charged intra-node latency and byte costs.
 
 from __future__ import annotations
 
-from .migration import LookupCache, lookup_cache_enabled
+from .migration import LookupCache
 from .partitions import BCInfo
 from .thread_safety import ELEMENT, MDREAD, WRITE, THSInfo
 from .traits import ConsistencyMode
@@ -96,7 +96,7 @@ class DataDistributionManager:
         return a BCInfo flagged ``cached`` without charging a lookup."""
         loc = self.container.here
         p = self.partition
-        if (use_cache and p.cacheable and lookup_cache_enabled()):
+        if use_cache and p.cacheable and loc.config.lookup_cache:
             bcid = self._cache.lookup(gid)
             if bcid is not None:
                 loc.stats.lookup_cache_hits += 1
@@ -205,7 +205,7 @@ class DataDistributionManager:
             loc.stats.forwarded += 1
             part = self.partition
             if (bcinfo.valid and part.directory and part.cacheable
-                    and lookup_cache_enabled()
+                    and loc.config.lookup_cache
                     and self.mapper.map(part.home_bcid(gid)) == loc.id):
                 # directory route update (BCL-style owner caching): the
                 # authoritative home tells the origin which BCID owns the

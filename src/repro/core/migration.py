@@ -39,25 +39,9 @@ from bisect import bisect_right, insort
 
 from .mappers import GeneralMapper
 
-#: process-wide switch for the per-location lookup cache.  On by default;
-#: the evaluation toggles it off to measure charged lookups head-to-head.
-_LOOKUP_CACHE = True
-
 #: entry cap per cache; on overflow the exact map is dropped wholesale (a
 #: crude but safe eviction — correctness never depends on cache contents)
 CACHE_MAX_EXACT = 1 << 16
-
-
-def lookup_cache_enabled() -> bool:
-    return _LOOKUP_CACHE
-
-
-def set_lookup_cache(on: bool) -> bool:
-    """Toggle the lookup cache; returns the previous setting."""
-    global _LOOKUP_CACHE
-    prev = _LOOKUP_CACHE
-    _LOOKUP_CACHE = bool(on)
-    return prev
 
 
 class LookupCache:
@@ -383,9 +367,7 @@ __all__ = [
     "CACHE_MAX_EXACT",
     "LookupCache",
     "MigrationMixin",
-    "lookup_cache_enabled",
     "lpt_assignment",
     "pack_bcontainer",
-    "set_lookup_cache",
     "unpack_bcontainer",
 ]

@@ -214,10 +214,8 @@ class PContainerBase(MigrationMixin, PObject):
         """Directory route update: a forwarding home tells this (the
         requesting) location which BCID owns ``gid``, filling the lookup
         cache so the next request skips the home hop."""
-        from .migration import lookup_cache_enabled
-
         dist = self._dist
-        if dist.partition.cacheable and lookup_cache_enabled():
+        if dist.partition.cacheable and self._runtime.config.lookup_cache:
             dist._cache.store(gid, bcid)
 
     def _sync_dir_lookup(self, home_loc, gid):

@@ -39,7 +39,7 @@ from ..algorithms.generic import p_generate, p_partial_sum, p_reduce
 from ..algorithms.nested import p_bucket_sort_nested, p_stencil
 from ..algorithms.sorting import p_sample_sort
 from ..containers.parray import PArray
-from ..runtime.comm import apply_toggles, snapshot_toggles
+from ..runtime import RuntimeConfig
 from ..views.array_views import Array1DView
 from .harness import ExperimentResult, run_spmd_timed, scaling_columns
 
@@ -61,12 +61,11 @@ TOLERANCES = {
     "fences": 0.0,
 }
 
-#: toggle ablations: name -> (snapshot_toggles key, flipped value).  Each
-#: run flips exactly one toggle off its default and restores afterwards.
+#: ablations: name -> the run's config, exactly one field off its default
 ABLATIONS = {
-    "combining_off": ("combining", False),
-    "lookup_cache_off": ("lookup_cache", False),
-    "dataflow_off": ("dataflow", False),
+    "combining_off": RuntimeConfig(combining=False),
+    "lookup_cache_off": RuntimeConfig(lookup_cache=False),
+    "dataflow_off": RuntimeConfig(dataflow=False),
 }
 
 
@@ -139,7 +138,8 @@ KERNELS = [
 ]
 
 
-def _measure_kernels(P: int, n_per_loc: int, machine: str) -> dict:
+def _measure_kernels(P: int, n_per_loc: int, machine: str,
+                     config: RuntimeConfig | None = None) -> dict:
     """One measured point: ``{kernel: {N, time_us, physical_msgs,
     bytes_sent, fences}}`` for the whole kernel set."""
     n = P * n_per_loc
@@ -147,7 +147,7 @@ def _measure_kernels(P: int, n_per_loc: int, machine: str) -> dict:
     for name, body in KERNELS:
         prog = _timed(body)
         results, _, stats = run_spmd_timed(
-            lambda ctx: prog(ctx, n), P, machine)
+            lambda ctx: prog(ctx, n), P, machine, config=config)
         out[name] = {
             "N": n,
             "time_us": round(max(r[0] for r in results), 2),
@@ -204,11 +204,11 @@ def bench_sweep_suite(p_list=DEFAULT_P_LIST, n_strong: int = 16384,
 
 def bench_ablation_suite(P: int = 8, n_per_loc: int = 2048,
                          machine: str = "cray4") -> ExperimentResult:
-    """The kernel set with one runtime toggle flipped off its default per
+    """The kernel set with one config field flipped off its default per
     series; ``time_vs_default`` is the per-kernel time ratio (<1 means
     the flipped setting is faster)."""
     res = ExperimentResult(
-        "Toggle ablations: fixed kernel set, one toggle flipped per series",
+        "Ablations: fixed kernel set, one config field off per series",
         ["toggle", "kernel", "time_us", "physical_msgs", "bytes_sent",
          "fences", "time_vs_default"],
         notes=f"{machine}, P={P}, n/loc={n_per_loc}")
@@ -216,15 +216,8 @@ def bench_ablation_suite(P: int = 8, n_per_loc: int = 2048,
     for name, k in base.items():
         res.add("default", name, k["time_us"], k["physical_msgs"],
                 k["bytes_sent"], k["fences"], 1.0)
-    for toggle, (key, value) in ABLATIONS.items():
-        snap = snapshot_toggles()
-        flipped = dict(snap)
-        flipped[key] = value
-        apply_toggles(flipped)
-        try:
-            rows = _measure_kernels(P, n_per_loc, machine)
-        finally:
-            apply_toggles(snap)
+    for toggle, config in ABLATIONS.items():
+        rows = _measure_kernels(P, n_per_loc, machine, config)
         for name, k in rows.items():
             ratio = k["time_us"] / base[name]["time_us"] \
                 if base[name]["time_us"] else 0.0

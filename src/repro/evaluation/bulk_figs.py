@@ -14,8 +14,8 @@ from __future__ import annotations
 from ..containers.parray import PArray
 from ..core.mappers import GeneralMapper
 from ..core.traits import Traits
+from ..runtime import RuntimeConfig
 from ..views.array_views import Array1DView, BalancedView
-from ..views.base import set_bulk_transport
 from .harness import ExperimentResult, run_spmd_timed
 
 
@@ -54,11 +54,9 @@ def bulk_transport_study(P=8, n_per_loc=15000,
     n = n_per_loc * P
     for algo in ("map", "reduce"):
         for label, on in (("per_element", False), ("bulk", True)):
-            prev = set_bulk_transport(on)
-            try:
-                results, _, stats = run_spmd_timed(prog, P, machine, (algo,))
-            finally:
-                set_bulk_transport(prev)
+            results, _, stats = run_spmd_timed(
+                prog, P, machine, (algo,),
+                config=RuntimeConfig(bulk_transport=on))
             res.add(algo, label, n, max(results), stats.physical_messages,
                     stats.bulk_rmi_sent, stats.bytes_sent / 1e6)
     return res

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..containers.associative import PHashMap
 from ..containers.pgraph import PGraph
-from ..runtime.comm import set_combining
+from ..runtime import RuntimeConfig
 from ..workloads.corpus import owner_keyed_vocabulary, zipf_stream
 from .harness import ExperimentResult, run_spmd_timed
 
@@ -61,11 +61,8 @@ def combining_study(P: int = 8, ops_per_loc: int = 16000,
 
     outcome = {}
     for label, on in _modes():
-        prev = set_combining(on)
-        try:
-            results, _, stats = run_spmd_timed(prog, P, machine)
-        finally:
-            set_combining(prev)
+        results, _, stats = run_spmd_timed(
+            prog, P, machine, config=RuntimeConfig(combining=on))
         op_msgs = sum(r[1] for r in results)
         outcome[label] = (op_msgs, results[0][2])
         res.add(label, ops_per_loc * P, max(r[0] for r in results), op_msgs,
@@ -124,11 +121,8 @@ def combining_containers_study(P: int = 4, n_per_loc: int = 3000,
                        ("pgraph_edges", prog_edges)):
         outcome = {}
         for label, on in _modes():
-            prev = set_combining(on)
-            try:
-                results, _, _ = run_spmd_timed(prog, P, machine)
-            finally:
-                set_combining(prev)
+            results, _, _ = run_spmd_timed(
+                prog, P, machine, config=RuntimeConfig(combining=on))
             outcome[label] = results[0][2]
             res.add(name, label, n_per_loc * P, max(r[0] for r in results),
                     sum(r[1] for r in results))

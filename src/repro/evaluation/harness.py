@@ -58,25 +58,26 @@ class ExperimentResult:
 
 def run_spmd_report(fn, nlocs: int, machine="cray4", args: tuple = (),
                     placement: str = "packed", backend: str = "simulated",
-                    **backend_opts):
+                    config=None, **backend_opts):
     """Run an SPMD program and return the full :class:`SpmdReport`
     (results, virtual clocks, stats, wall-clock seconds, backend name).
 
     The default is the deterministic simulator; figure drivers pass
     ``backend="multiprocessing"`` to run the same program on real OS
-    processes and report wall-clock time next to the virtual clocks."""
+    processes and report wall-clock time next to the virtual clocks, and
+    ``config=RuntimeConfig(...)`` for the ablated leg of a comparison."""
     return spmd_run_detailed(fn, nlocs=nlocs, machine=machine, args=args,
                              placement=placement, backend=backend,
-                             **backend_opts)
+                             config=config, **backend_opts)
 
 
 def run_spmd_timed(fn, nlocs: int, machine="cray4", args: tuple = (),
                    placement: str = "packed", backend: str = "simulated",
-                   **backend_opts):
+                   config=None, **backend_opts):
     """Run an SPMD program and return (per-location results, max virtual
     clock in us, aggregate stats)."""
     rep = run_spmd_report(fn, nlocs, machine, args, placement,
-                          backend=backend, **backend_opts)
+                          backend=backend, config=config, **backend_opts)
     return rep.results, rep.max_clock, rep.stats.total
 
 

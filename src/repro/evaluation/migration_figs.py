@@ -31,7 +31,7 @@ import random
 from ..containers.associative import PHashMap
 from ..containers.parray import PArray
 from ..containers.pgraph import PGraph
-from ..core.migration import set_lookup_cache
+from ..runtime import RuntimeConfig
 from ..workloads.corpus import owner_keyed_vocabulary
 from .harness import ExperimentResult, run_spmd_report, run_spmd_timed
 
@@ -305,11 +305,8 @@ def lookup_cache_study(P: int = 4, keys_per_loc: int = 48,
 
     outcome = {}
     for label, on in (("cache", True), ("no_cache", False)):
-        prev = set_lookup_cache(on)
-        try:
-            results, _, stats = run_spmd_timed(prog, P, machine)
-        finally:
-            set_lookup_cache(prev)
+        results, _, stats = run_spmd_timed(
+            prog, P, machine, config=RuntimeConfig(lookup_cache=on))
         charged = sum(r[1] for r in results)
         outcome[label] = (charged, [r[2] for r in results])
         accesses = repeats * (keys_per_loc + 4 * P) * P

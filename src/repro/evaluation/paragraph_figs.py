@@ -21,20 +21,19 @@ bugfix: the sort's portion read and sorted write-back must ride
 runs the fenced sort (isolating transport from the executor) over 64k
 elements whose block→location mapping is rotated by one — every
 balanced-slice access is remote, the scalar-storm worst case — with the
-bulk toggle off and on, and asserts >= 10x fewer physical messages,
+bulk transport off and on, and asserts >= 10x fewer physical messages,
 identical output.
 """
 
 from __future__ import annotations
 
 from ..algorithms.pipelines import p_sort_scan_pipeline
-from ..algorithms.prange import set_dataflow
 from ..algorithms.sorting import p_sample_sort
 from ..containers.parray import PArray
 from ..core.mappers import GeneralMapper
 from ..core.traits import Traits
+from ..runtime import RuntimeConfig
 from ..views.array_views import Array1DView
-from ..views.base import set_bulk_transport
 from .harness import ExperimentResult, run_spmd_report, run_spmd_timed
 
 
@@ -87,11 +86,8 @@ def paragraph_study(P: int = 8, n_per_loc: int = 4000,
 
     outcome = {}
     for label, on in (("fenced", False), ("dataflow", True)):
-        prev = set_dataflow(on)
-        try:
-            rep = run_spmd_report(prog, P, machine, backend=backend)
-        finally:
-            set_dataflow(prev)
+        rep = run_spmd_report(prog, P, machine, backend=backend,
+                              config=RuntimeConfig(dataflow=on))
         results, stats = rep.results, rep.stats.total
         outcome[label] = (max(r[0] for r in results),
                          max(r[1] for r in results), results[0][3])
@@ -159,21 +155,15 @@ def sort_transport_study(P: int = 8, n_per_loc: int = 8192,
               "constant); block->location mapping rotated by one so every "
               "balanced-slice access is remote")
 
-    prev_df = set_dataflow(False)
     outcome = {}
-    try:
-        for label, on in (("per_element", False), ("bulk", True)):
-            prev = set_bulk_transport(on)
-            try:
-                results, _, stats = run_spmd_timed(prog, P, machine)
-            finally:
-                set_bulk_transport(prev)
-            outcome[label] = (max(r[0] for r in results),
-                             sum(r[1] for r in results), results[0][2])
-            res.add(label, n, outcome[label][0], outcome[label][1],
-                    stats.bulk_rmi_sent, stats.bytes_sent / 1e6)
-    finally:
-        set_dataflow(prev_df)
+    for label, on in (("per_element", False), ("bulk", True)):
+        results, _, stats = run_spmd_timed(
+            prog, P, machine,
+            config=RuntimeConfig(dataflow=False, bulk_transport=on))
+        outcome[label] = (max(r[0] for r in results),
+                         sum(r[1] for r in results), results[0][2])
+        res.add(label, n, outcome[label][0], outcome[label][1],
+                stats.bulk_rmi_sent, stats.bytes_sent / 1e6)
 
     if outcome["bulk"][2] != outcome["per_element"][2]:
         raise AssertionError("bulk transport changed the sorted output")

@@ -83,7 +83,7 @@ def fig51_find_sources(P=4, n=192, machine="cray4") -> ExperimentResult:
     curve exists to show (the cached behaviour is its own study,
     ``lookup_cache``)."""
     from ..algorithms.graph_algorithms import find_sources
-    from ..core.migration import set_lookup_cache
+    from ..runtime import RuntimeConfig
 
     res = ExperimentResult(
         "Fig.51 find_sources by partition",
@@ -97,17 +97,13 @@ def fig51_find_sources(P=4, n=192, machine="cray4") -> ExperimentResult:
         find_sources(g)
         return ctx.stop_timer(t0)
 
-    prev = set_lookup_cache(False)
-    try:
-        for label, dynamic, fwd in (("static", False, True),
-                                    ("dynamic_fwd", True, True),
-                                    ("dynamic_nofwd", True, False)):
-            results, _, stats = run_spmd_timed(prog, P, machine,
-                                               (dynamic, fwd))
-            res.add(label, max(results), stats.forwarded,
-                    stats.sync_rmi_sent)
-    finally:
-        set_lookup_cache(prev)
+    for label, dynamic, fwd in (("static", False, True),
+                                ("dynamic_fwd", True, True),
+                                ("dynamic_nofwd", True, False)):
+        results, _, stats = run_spmd_timed(
+            prog, P, machine, (dynamic, fwd),
+            config=RuntimeConfig(lookup_cache=False))
+        res.add(label, max(results), stats.forwarded, stats.sync_rmi_sent)
     return res
 
 

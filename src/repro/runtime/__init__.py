@@ -6,17 +6,13 @@ p_objects — all running on a deterministic virtual-time machine simulator.
 """
 
 from .comm import (
+    COMBINING_WINDOW,
     Message,
     Network,
     TransportBackend,
-    apply_toggles,
-    combining_enabled,
-    combining_window,
     estimate_size,
-    set_combining,
-    set_combining_window,
-    snapshot_toggles,
 )
+from .config import RuntimeConfig
 from .future import Future, pc_future
 from .machine import CRAY4, CRAY5, MACHINES, P5_CLUSTER, SMP, MachineModel, get_machine
 from .p_object import PObject
@@ -32,6 +28,7 @@ from .scheduler import (
 from .stats import LocationStats, RunStats
 
 __all__ = [
+    "COMBINING_WINDOW",
     "CRAY4",
     "CRAY5",
     "Future",
@@ -46,18 +43,13 @@ __all__ = [
     "PObject",
     "RunStats",
     "Runtime",
+    "RuntimeConfig",
     "SMP",
     "SpmdError",
     "SpmdReport",
     "TransportBackend",
-    "apply_toggles",
-    "combining_enabled",
-    "combining_window",
     "estimate_size",
     "get_machine",
-    "set_combining",
-    "snapshot_toggles",
-    "set_combining_window",
     "pc_future",
     "spmd_run",
     "spmd_run_detailed",

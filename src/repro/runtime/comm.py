@@ -25,9 +25,9 @@ p_object handle) are appended locally and shipped as one bulk message when
 the buffer reaches the combining window, at a fence, before any other RMI
 to the same destination (source-FIFO order), or on an explicit
 ``flush_combining()``.  One buffer per channel — like ARMI's aggregation
-buffers — keeps issue order across p_objects intact.  The module-level
-toggle below exists so the evaluation can assert batched == scalar results
-head-to-head.
+buffers — keeps issue order across p_objects intact.
+``RuntimeConfig(combining=False)`` turns the path off for a run so the
+evaluation can assert batched == scalar results head-to-head.
 """
 
 from __future__ import annotations
@@ -41,38 +41,9 @@ import numpy as np
 _SCALAR_SIZE = 8
 _DEFAULT_SIZE = 64
 
-#: process-wide switch + window for the combining-buffer path.  On, async
-#: container ops named in a container's ``COMBINING_METHODS`` are buffered
-#: per (destination, handle) and flushed as one bulk message per window.
-_COMBINING = True
-_COMBINING_WINDOW = 1024
-
-
-def combining_enabled() -> bool:
-    return _COMBINING
-
-
-def set_combining(on: bool) -> bool:
-    """Toggle the combining-buffer path; returns the previous setting."""
-    global _COMBINING
-    prev = _COMBINING
-    _COMBINING = bool(on)
-    return prev
-
-
-def combining_window() -> int:
-    return _COMBINING_WINDOW
-
-
-def set_combining_window(n: int) -> int:
-    """Set how many op records a combining buffer holds before it flushes
-    as one physical message; returns the previous window."""
-    global _COMBINING_WINDOW
-    if n < 1:
-        raise ValueError("combining window must be >= 1")
-    prev = _COMBINING_WINDOW
-    _COMBINING_WINDOW = int(n)
-    return prev
+#: op records a combining buffer holds before it flushes as one physical
+#: message
+COMBINING_WINDOW = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -126,44 +97,6 @@ class TransportBackend(abc.ABC):
 
     #: buffered-but-unexecuted message count (eager transports keep it 0)
     total_pending: int = 0
-
-
-# -- cross-backend toggle snapshot ------------------------------------------
-# Real concurrency exposes a latent assumption of the single-process
-# simulator: performance toggles live as module-level state (combining,
-# lookup cache, dataflow, bulk transport).  Worker processes of a
-# real backend must observe the values that were set *before* the run
-# started, so the launcher snapshots them and re-applies the snapshot inside
-# every worker — robust even under a ``spawn`` start method where module
-# state is re-imported fresh rather than inherited.
-
-
-def snapshot_toggles() -> dict:
-    """Capture every process-wide runtime toggle as a plain dict."""
-    from ..algorithms.prange import dataflow_enabled
-    from ..core.migration import lookup_cache_enabled
-    from ..views.base import bulk_transport_enabled
-
-    return {
-        "combining": combining_enabled(),
-        "combining_window": combining_window(),
-        "lookup_cache": lookup_cache_enabled(),
-        "dataflow": dataflow_enabled(),
-        "bulk_transport": bulk_transport_enabled(),
-    }
-
-
-def apply_toggles(snapshot: dict) -> None:
-    """Re-apply a :func:`snapshot_toggles` capture in this process."""
-    from ..algorithms.prange import set_dataflow
-    from ..core.migration import set_lookup_cache
-    from ..views.base import set_bulk_transport
-
-    set_combining(snapshot["combining"])
-    set_combining_window(snapshot["combining_window"])
-    set_lookup_cache(snapshot["lookup_cache"])
-    set_dataflow(snapshot["dataflow"])
-    set_bulk_transport(snapshot["bulk_transport"])
 
 
 def estimate_size(obj, _depth: int = 0) -> int:

@@ -33,10 +33,10 @@ runtime API):
   other.  ``os_fence`` uses weighted ack credits: every executed request
   acknowledges its *origin* with the number of same-origin requests its
   handler spawned, so one-sided quiescence needs no collective.
-* Every blocking wait carries a deadline (``timeout``/``REPRO_MP_TIMEOUT``):
-  a genuinely deadlocked program fails fast with a diagnostic instead of
+* Every blocking wait carries a deadline (the launcher's ``op_timeout``): a
+  genuinely deadlocked program fails fast with a diagnostic instead of
   hanging the test runner, and the parent enforces a wall-clock cap on the
-  whole run as a second line of defence.
+  whole run (``timeout``) as a second line of defence.
 
 Guarantees relative to the simulated oracle: per-(src, dst) FIFO holds
 (one queue per destination, one feeder per producer), async completion is
@@ -68,13 +68,8 @@ from collections import deque
 
 import numpy as np
 
-from .comm import (
-    Message,
-    TransportBackend,
-    apply_toggles,
-    estimate_size,
-    snapshot_toggles,
-)
+from .comm import Message, TransportBackend, estimate_size
+from .config import RuntimeConfig
 from .future import Future
 from .machine import get_machine
 from .scheduler import (
@@ -88,9 +83,9 @@ from .stats import RunStats
 
 #: default per-blocking-operation deadline (seconds); a stuck fence,
 #: collective or reply raises SpmdError instead of hanging the runner
-_OP_TIMEOUT = float(os.environ.get("REPRO_MP_TIMEOUT", "60"))
+_OP_TIMEOUT = 60.0
 #: default wall-clock cap for one whole run, enforced by the parent
-_RUN_TIMEOUT = float(os.environ.get("REPRO_MP_RUN_TIMEOUT", "300"))
+_RUN_TIMEOUT = 300.0
 #: how long one task_yield blocks waiting for an incoming message
 _YIELD_TIMEOUT = 0.05
 #: seconds of group-wide silence before the task-graph executor's blocked
@@ -614,9 +609,11 @@ class MpRuntime:
     shared_address_space = False
 
     def __init__(self, lid: int, nlocs: int, machine, placement: str,
-                 queues, run_id: str, op_timeout: float = _OP_TIMEOUT):
+                 queues, run_id: str, config: RuntimeConfig,
+                 op_timeout: float = _OP_TIMEOUT):
         self.lid = lid
         self.nlocs = nlocs
+        self.config = config
         self.machine = get_machine(machine)
         self.placement = placement
         self.world = LocationGroup(range(nlocs))
@@ -801,14 +798,16 @@ class MpRuntime:
             self._stopped = True
         return kind
 
+    def _raise_if_stopped(self, desc: str) -> None:
+        if self._stopped:
+            raise SpmdError(
+                f"location {self.lid}: run aborted while waiting for "
+                f"{desc} (another location failed or the run was stopped)")
+
     def _service_until(self, cond, desc: str, timeout: float | None = None):
         deadline = time.monotonic() + (timeout or self.op_timeout)
         while not cond():
-            if self._stopped:
-                raise SpmdError(
-                    f"location {self.lid}: run aborted while waiting for "
-                    f"{desc} (another location failed or the run was "
-                    "stopped)")
+            self._raise_if_stopped(desc)
             if self._service_one(block=True, timeout=0.02) is not None:
                 continue
             if time.monotonic() > deadline:
@@ -1068,14 +1067,19 @@ class MpLocation(Location):
             # desynchronise each other's handle spaces
             seq = rt._handle_seq.get(group.key, 0)
             proposed = (group.key, seq)
+            # resolvable before the exchange: a peer that already finished
+            # this registration may send a request that overtakes the
+            # coordinator's result (different sender queues have no mutual
+            # order) and executes while this location still waits
+            rt.registry[proposed] = payload
             arrived = self._gather_exchange("register", proposed, group)
             if len(set(arrived.values())) != 1:
+                del rt.registry[proposed]
                 raise SpmdError(
                     "p_object registration diverged across processes "
                     f"(proposed handles {sorted(set(arrived.values()))}); "
                     "the multiprocessing backend requires registrations "
                     "in one collective program order per group")
-            rt.registry[proposed] = payload
             rt._handle_seq[group.key] = seq + 1
             return proposed
         if op == "unregister":
@@ -1146,6 +1150,10 @@ class MpLocation(Location):
                 n += 1
         if drain:
             n += rt.drain_available()
+        # a blocked Paragraph polls here, not in _service_until: without
+        # this check it would sit out the stall patience after the parent
+        # stopped the run
+        rt._raise_if_stopped("a task-graph dependence")
         return n
 
 
@@ -1155,13 +1163,9 @@ class MpLocation(Location):
 
 
 def _worker_main(lid, nlocs, machine, placement, queues, result_q, fn, args,
-                 toggles, run_id, op_timeout):
-    # re-apply the parent's toggle snapshot: inherited state under fork,
-    # but explicit application keeps semantics under any start method and
-    # guards against toggles mutated between runtime import and launch
-    apply_toggles(toggles)
+                 config, run_id, op_timeout):
     global _CURRENT_RUNTIME
-    rt = MpRuntime(lid, nlocs, machine, placement, queues, run_id,
+    rt = MpRuntime(lid, nlocs, machine, placement, queues, run_id, config,
                    op_timeout=op_timeout)
     _CURRENT_RUNTIME = rt
     # numpy bContainer storage allocates inside the arena, so bulk replies
@@ -1212,18 +1216,18 @@ def _cleanup_shm(run_id: str) -> None:
             pass
 
 
-def mp_spmd_run_detailed(fn, nlocs: int = 4, machine="smp", args: tuple = (),
-                         placement: str = "packed",
+def mp_spmd_run_detailed(fn, nlocs: int, machine, args: tuple,
+                         placement: str, config: RuntimeConfig,
                          timeout: float | None = None,
                          op_timeout: float | None = None,
                          start_method: str = "fork") -> SpmdReport:
-    """Run ``fn(ctx, *args)`` with one OS process per location.
+    """Run ``fn(ctx, *args)`` with one OS process per location (reached
+    through ``spmd_run(..., backend="multiprocessing")``).
 
-    ``timeout`` caps the whole run's wall clock (default
-    ``REPRO_MP_RUN_TIMEOUT``/300 s): on expiry every worker is terminated
-    and an :class:`SpmdError` is raised — a deadlocked fence fails fast
-    instead of hanging the runner.  ``op_timeout`` caps each worker-side
-    blocking wait (default ``REPRO_MP_TIMEOUT``/60 s).
+    ``timeout`` caps the whole run's wall clock (default 300 s): on expiry
+    every worker is terminated and an :class:`SpmdError` is raised — a
+    deadlocked fence fails fast instead of hanging the runner.
+    ``op_timeout`` caps each worker-side blocking wait (default 60 s).
 
     ``start_method`` selects how workers launch.  ``"fork"`` (default)
     inherits the parent image and supports arbitrary local functions.
@@ -1245,7 +1249,6 @@ def mp_spmd_run_detailed(fn, nlocs: int = 4, machine="smp", args: tuple = (),
     run_id = uuid.uuid4().hex[:8]
     queues = [ctx.Queue() for _ in range(nlocs)]
     result_q = ctx.Queue()
-    toggles = snapshot_toggles()
     if start_method == "fork":
         # fork never pickles fn/args: unpicklable-but-marshalable locals
         # keep working exactly as before
@@ -1257,7 +1260,7 @@ def mp_spmd_run_detailed(fn, nlocs: int = 4, machine="smp", args: tuple = (),
         p = ctx.Process(
             target=_worker_main,
             args=(lid, nlocs, machine, placement, queues, result_q,
-                  fn_payload, args_payload, toggles, run_id,
+                  fn_payload, args_payload, config, run_id,
                   worker_timeout),
             name=f"repro-loc-{lid}", daemon=True)
         procs.append(p)
@@ -1317,8 +1320,9 @@ def mp_spmd_run_detailed(fn, nlocs: int = 4, machine="smp", args: tuple = (),
             q.close()
         _cleanup_shm(run_id)
     wall = time.perf_counter() - t0
-    ordered = [collected[lid] for lid in range(nlocs)]
-    errors = [(lid, err) for lid, _, err, _, _, _ in ordered
+    # arrival order: the first failure reported is the root cause, later
+    # ones are usually its consequences
+    errors = [(lid, err) for lid, _, err, _, _, _ in collected.values()
               if err is not None]
     if errors:
         primary = next((e for e in errors if "run aborted while" not in e[1]),
@@ -1326,6 +1330,7 @@ def mp_spmd_run_detailed(fn, nlocs: int = 4, machine="smp", args: tuple = (),
         raise SpmdError(
             f"location {primary[0]} failed under the multiprocessing "
             f"backend: {primary[1]}")
+    ordered = [collected[lid] for lid in range(nlocs)]
     return SpmdReport(
         [res for _, res, _, _, _, _ in ordered],
         clocks=[clock for _, _, _, _, clock, _ in ordered],
@@ -1334,17 +1339,6 @@ def mp_spmd_run_detailed(fn, nlocs: int = 4, machine="smp", args: tuple = (),
         backend="multiprocessing")
 
 
-def mp_spmd_run(fn, nlocs: int = 4, machine="smp", args: tuple = (),
-                placement: str = "packed", timeout: float | None = None,
-                op_timeout: float | None = None,
-                start_method: str = "fork") -> list:
-    """Process-per-location :func:`~repro.runtime.scheduler.spmd_run`."""
-    return mp_spmd_run_detailed(fn, nlocs=nlocs, machine=machine, args=args,
-                                placement=placement, timeout=timeout,
-                                op_timeout=op_timeout,
-                                start_method=start_method).results
-
-
 __all__ = ["MpLocation", "MpRuntime", "MpTransport",
-           "SegmentCache", "ShmArena", "ShmSlab", "mp_spmd_run",
+           "SegmentCache", "ShmArena", "ShmSlab",
            "mp_spmd_run_detailed", "pack_payload", "unpack_payload"]

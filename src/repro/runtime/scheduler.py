@@ -35,13 +35,8 @@ import threading
 import time
 from typing import Callable
 
-from .comm import (
-    Message,
-    Network,
-    combining_enabled,
-    combining_window,
-    estimate_size,
-)
+from .comm import COMBINING_WINDOW, Message, Network, estimate_size
+from .config import RuntimeConfig
 from .future import Future
 from .machine import get_machine
 from .stats import LocationStats, RunStats
@@ -237,6 +232,8 @@ class Location:
 
     def __init__(self, runtime: "Runtime", lid: int):
         self.runtime = runtime
+        #: this run's :class:`RuntimeConfig` (the program-facing handle)
+        self.config = runtime.config
         self.id = lid
         self.clock = 0.0
         self.stats = LocationStats()
@@ -564,7 +561,7 @@ class Location:
         (preserving source-FIFO order with scalar RMIs on the channel), or
         on an explicit :meth:`flush_combining`."""
         rt = self.runtime
-        if not combining_enabled() or dest == self.id or rt._exec_depth:
+        if not rt.config.combining or dest == self.id or rt._exec_depth:
             return False
         buf = self._combining.get(dest)
         if buf is None:
@@ -573,7 +570,7 @@ class Location:
         # local append: cheap compared to marshaling a full RMI
         self.clock += rt.machine.o_send * 0.25
         self.stats.combined_ops += 1
-        if len(buf) >= combining_window():
+        if len(buf) >= COMBINING_WINDOW:
             self._flush_combining_buffer(dest)
         return True
 
@@ -774,31 +771,17 @@ class Location:
         if op == "unregister":
             rt.registry.pop(payload, None)
             return None
-        if op == "allreduce":
-            return payload[0]
-        if op == "broadcast":
-            root, value = payload
-            if root != self.id:
-                raise SpmdError("broadcast root outside singleton group")
-            return value
-        if op == "allgather":
-            return [payload]
-        if op == "alltoall":
-            if len(payload) != 1:
-                raise SpmdError("alltoall payload size != group size")
-            return [payload[0]]
-        if op == "scan":
-            value, _op_fn, exclusive = payload
-            return (None, value) if exclusive else (value, value)
-        raise SpmdError(f"unknown collective {op!r}")  # pragma: no cover
+        return collective_results(op, {self.id: payload}, (self.id,))[self.id]
 
 
 class Runtime:
     """One SPMD execution: locations + network + registry + conductor."""
 
-    def __init__(self, nlocs: int, machine="smp", placement: str = "packed"):
+    def __init__(self, nlocs: int, machine="smp", placement: str = "packed",
+                 config: RuntimeConfig = RuntimeConfig()):
         if nlocs < 1:
             raise ValueError("need at least one location")
+        self.config = config
         self.machine = get_machine(machine)
         self.nlocs = nlocs
         self.placement = placement
@@ -1118,43 +1101,6 @@ class Runtime:
         return max(loc.clock for loc in self.locations)
 
 
-def _backend_runners(backend: str):
-    """Resolve (run, run_detailed) for the requested backend; None means
-    the in-process simulated pair."""
-    if backend == "simulated":
-        return None
-    if backend == "multiprocessing":
-        from . import mp  # imported lazily: pulls in multiprocessing machinery
-
-        return mp.mp_spmd_run, mp.mp_spmd_run_detailed
-    raise SpmdError(f"unknown execution backend {backend!r}")
-
-
-def spmd_run(fn: Callable, nlocs: int = 4, machine="smp", args: tuple = (),
-             placement: str = "packed", backend: str = "simulated",
-             **backend_opts) -> list:
-    """Run an SPMD program; returns the per-location return values.
-
-    ``fn(ctx, *args)`` is executed once per location with a
-    :class:`Location` context, exactly like a ``stapl_main`` under
-    ``mpiexec -n nlocs``.
-
-    ``backend`` selects the execution backend for this run ("simulated" —
-    the deterministic virtual-time oracle — or "multiprocessing" — one OS
-    process per location); ``backend_opts`` (e.g. ``timeout=...``) are
-    passed to a real backend's launcher and must be empty for the
-    simulator.
-    """
-    runners = _backend_runners(backend)
-    if runners is None:
-        if backend_opts:
-            raise TypeError(
-                f"simulated backend takes no options {sorted(backend_opts)}")
-        return Runtime(nlocs, machine, placement).run(fn, args)
-    return runners[0](fn, nlocs=nlocs, machine=machine, args=args,
-                      placement=placement, **backend_opts)
-
-
 class SpmdReport:
     """Result bundle from :func:`spmd_run_detailed`.
 
@@ -1183,18 +1129,45 @@ class SpmdReport:
 def spmd_run_detailed(fn: Callable, nlocs: int = 4, machine="smp",
                       args: tuple = (), placement: str = "packed",
                       backend: str = "simulated",
+                      config: RuntimeConfig | None = None,
                       **backend_opts) -> SpmdReport:
-    """Like :func:`spmd_run` but also returns clocks, traffic stats and —
-    for a real backend — wall-clock time."""
-    runners = _backend_runners(backend)
-    if runners is None:
-        if backend_opts:
-            raise TypeError(
-                f"simulated backend takes no options {sorted(backend_opts)}")
-        rt = Runtime(nlocs, machine, placement)
-        t0 = time.perf_counter()
-        results = rt.run(fn, args)
-        return SpmdReport(results, rt,
-                          wall_seconds=time.perf_counter() - t0)
-    return runners[1](fn, nlocs=nlocs, machine=machine, args=args,
-                      placement=placement, **backend_opts)
+    """Run an SPMD program; returns results, clocks, traffic stats and —
+    for a real backend — wall-clock time.
+
+    ``fn(ctx, *args)`` is executed once per location with a
+    :class:`Location` context, exactly like a ``stapl_main`` under
+    ``mpiexec -n nlocs``.
+
+    ``backend`` selects the execution backend for this run ("simulated" —
+    the deterministic virtual-time oracle — or "multiprocessing" — one OS
+    process per location); ``config`` is the run's
+    :class:`~repro.runtime.config.RuntimeConfig` (defaults when omitted),
+    readable as ``ctx.config``; ``backend_opts`` (e.g. ``timeout=...``) are
+    passed to a real backend's launcher and must be empty for the
+    simulator.
+    """
+    config = config or RuntimeConfig()
+    if backend == "multiprocessing":
+        from . import mp  # imported lazily: pulls in multiprocessing machinery
+
+        return mp.mp_spmd_run_detailed(
+            fn, nlocs=nlocs, machine=machine, args=args, placement=placement,
+            config=config, **backend_opts)
+    if backend != "simulated":
+        raise SpmdError(f"unknown execution backend {backend!r}")
+    if backend_opts:
+        raise TypeError(
+            f"simulated backend takes no options {sorted(backend_opts)}")
+    rt = Runtime(nlocs, machine, placement, config)
+    t0 = time.perf_counter()
+    results = rt.run(fn, args)
+    return SpmdReport(results, rt, wall_seconds=time.perf_counter() - t0)
+
+
+def spmd_run(fn: Callable, nlocs: int = 4, machine="smp", args: tuple = (),
+             placement: str = "packed", backend: str = "simulated",
+             config: RuntimeConfig | None = None, **backend_opts) -> list:
+    """:func:`spmd_run_detailed`, returning only the per-location return
+    values."""
+    return spmd_run_detailed(fn, nlocs, machine, args, placement, backend,
+                             config, **backend_opts).results

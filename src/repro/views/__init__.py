@@ -71,8 +71,6 @@ from .base import (
     PView,
     Workfunction,
     as_wf,
-    bulk_transport_enabled,
-    set_bulk_transport,
     slab_passthrough,
 )
 from .graph_views import BoundaryView, GraphView, InnerView, RegionView, VertexChunk

@@ -23,25 +23,6 @@ import numpy as np
 from ..core.domains import RangeDomain
 from ..core.partitions import balanced_sizes
 
-#: process-wide switch for the bulk element-transport fast path.  On, a
-#: GenericChunk whose view supports contiguous range accessors moves whole
-#: slabs (one RMI per owning location) instead of one RMI per element.
-#: Exists so the evaluation can measure bulk vs. per-element head-to-head.
-_BULK_TRANSPORT = True
-
-
-def bulk_transport_enabled() -> bool:
-    return _BULK_TRANSPORT
-
-
-def set_bulk_transport(on: bool) -> bool:
-    """Toggle the bulk fast path; returns the previous setting."""
-    global _BULK_TRANSPORT
-    prev = _BULK_TRANSPORT
-    _BULK_TRANSPORT = bool(on)
-    return prev
-
-
 def slab_passthrough(view) -> bool:
     """May bulk slab values stay NumPy arrays (possibly read-only
     zero-copy views over shared memory) instead of being lowered to plain
@@ -262,16 +243,19 @@ class GenericChunk(Chunk):
     # -- bulk helpers ------------------------------------------------------
     def _bulk_read(self):
         """The chunk's slice as a slab, or None when the bulk path does not
-        apply (toggle off, non-contiguous domain, view without ranges)."""
+        apply (bulk transport off, non-contiguous domain, view without
+        ranges)."""
         dom = self.index_domain
-        if (not _BULK_TRANSPORT or not isinstance(dom, RangeDomain)
+        if (not self.view.container.runtime.config.bulk_transport
+                or not isinstance(dom, RangeDomain)
                 or not hasattr(self.view, "read_range")):
             return None
         return self.view.read_range(dom.lo, dom.hi)
 
     def _bulk_write(self, values) -> bool:
         dom = self.index_domain
-        if (not _BULK_TRANSPORT or not isinstance(dom, RangeDomain)
+        if (not self.view.container.runtime.config.bulk_transport
+                or not isinstance(dom, RangeDomain)
                 or not hasattr(self.view, "write_range")):
             return False
         return self.view.write_range(dom.lo, values)
@@ -309,7 +293,8 @@ class GenericChunk(Chunk):
     def generate(self, wf: Workfunction) -> None:
         self._charge_wf(wf)
         dom = self.index_domain
-        if (_BULK_TRANSPORT and isinstance(dom, RangeDomain) and dom.size()
+        if (self.view.container.runtime.config.bulk_transport
+                and isinstance(dom, RangeDomain) and dom.size()
                 and hasattr(self.view, "write_range")):
             self._charge_access(1)
             if wf.vector is not None:

@@ -37,7 +37,6 @@ from ..core.domains import RangeDomain
 from .base import (
     GenericChunk,
     PView,
-    bulk_transport_enabled,
     slab_passthrough,
     sync_views,
 )
@@ -53,7 +52,8 @@ def slab_read(view, lo: int, hi: int):
     element and forfeit the zero-copy receive.  Callers treat the result
     as a read-only sequence; mutation goes through ``slab_write``."""
     rr = getattr(view, "read_range", None)
-    if bulk_transport_enabled() and rr is not None and hi > lo:
+    if (view.container.runtime.config.bulk_transport and rr is not None
+            and hi > lo):
         vals = rr(lo, hi)
         if vals is not None:
             if isinstance(vals, np.ndarray) and slab_passthrough(view):
@@ -66,7 +66,8 @@ def slab_write(view, lo: int, values) -> None:
     """Write ``values`` at consecutive view indices from ``lo``, bulk if
     possible."""
     wr = getattr(view, "write_range", None)
-    if bulk_transport_enabled() and wr is not None and len(values):
+    if (view.container.runtime.config.bulk_transport and wr is not None
+            and len(values)):
         if wr(lo, values):
             return
     for k, v in enumerate(values):

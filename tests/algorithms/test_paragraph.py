@@ -12,22 +12,19 @@ from repro.algorithms.generic import (
     p_transform,
 )
 from repro.algorithms.pipelines import p_sort_scan_pipeline
-from repro.algorithms.prange import Executor, Paragraph, PRange, set_dataflow
+from repro.algorithms.prange import Executor, Paragraph, PRange
 from repro.algorithms.sorting import build_sort_tasks, p_sample_sort
 from repro.algorithms.sssp import distances_of, sssp
 from repro.containers.parray import PArray
 from repro.containers.pgraph import PGraph
+from repro.runtime import RuntimeConfig
 from repro.runtime.scheduler import SpmdError
 from repro.views.array_views import Array1DView
 from tests.conftest import run, run_detailed
 
 
 def _toggled(prog, on, nlocs, **kw):
-    prev = set_dataflow(on)
-    try:
-        return run(prog, nlocs=nlocs, **kw)
-    finally:
-        set_dataflow(prev)
+    return run(prog, nlocs=nlocs, config=RuntimeConfig(dataflow=on), **kw)
 
 
 class TestExecutorScheduling:
@@ -253,7 +250,7 @@ class TestParagraphDataflow:
 
 
 class TestDataflowEquivalence:
-    """set_dataflow(on) == set_dataflow(off), byte for byte."""
+    """RuntimeConfig(dataflow=True) == dataflow=False, byte for byte."""
 
     @pytest.mark.parametrize("nlocs", [1, 2, 3, 4])
     def test_sample_sort(self, nlocs):
@@ -325,16 +322,8 @@ class TestDataflowEquivalence:
             p_sort_scan_pipeline(Array1DView(src), Array1DView(sums),
                                  Array1DView(diffs))
             return ctx.stats.fences - fences0
-        prev = set_dataflow(False)
-        try:
-            fenced = run(prog, nlocs=4)[0]
-        finally:
-            set_dataflow(prev)
-        prev = set_dataflow(True)
-        try:
-            dataflow = run(prog, nlocs=4)[0]
-        finally:
-            set_dataflow(prev)
+        fenced = _toggled(prog, False, 4)[0]
+        dataflow = _toggled(prog, True, 4)[0]
         assert fenced >= 2 * dataflow
 
     @pytest.mark.parametrize("nlocs", [2, 4])
@@ -459,22 +448,10 @@ class TestSortingBulkTransport:
             p_sample_sort(v)
             return ctx.stats.physical_messages - msgs0, pa.to_list()
 
-        from repro.views.base import set_bulk_transport
-
-        prev_df = set_dataflow(False)  # isolate transport from the executor
-        try:
-            prev = set_bulk_transport(False)
-            try:
-                scalar = run(prog, nlocs=4)
-            finally:
-                set_bulk_transport(prev)
-            prev = set_bulk_transport(True)
-            try:
-                bulk = run(prog, nlocs=4)
-            finally:
-                set_bulk_transport(prev)
-        finally:
-            set_dataflow(prev_df)
+        # dataflow off isolates transport from the executor
+        scalar = run(prog, nlocs=4, config=RuntimeConfig(
+            dataflow=False, bulk_transport=False))
+        bulk = run(prog, nlocs=4, config=RuntimeConfig(dataflow=False))
         assert bulk[0][1] == scalar[0][1] == sorted(
             (i * 2654435761) % 2039 for i in range(n))
         scalar_msgs = sum(o[0] for o in scalar)

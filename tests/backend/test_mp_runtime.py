@@ -3,16 +3,25 @@ unpicklable operators, sync/split-phase round trips, fence quiescence,
 one-sided fences, shared-memory slab transport, failure propagation and
 fail-fast deadlock detection."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.algorithms.prange import Paragraph
 from repro.runtime import (
     PObject,
     SpmdError,
     spmd_run,
     spmd_run_detailed,
 )
-from repro.runtime.mp import ShmArena, ShmSlab, pack_payload, unpack_payload
+from repro.runtime.mp import (
+    MpLocation,
+    ShmArena,
+    ShmSlab,
+    pack_payload,
+    unpack_payload,
+)
 
 TIMEOUT = 60.0
 
@@ -96,6 +105,28 @@ class TestCollectives:
                 return ctx.allreduce_rmi(10 + ctx.id, group=g)
             return None
         assert mp_run(prog, 4) == [21, 21, None, None]
+
+
+class TestRegistration:
+    def test_handle_resolves_before_the_exchange_starts(self):
+        """A peer that already finished a registration may send a request
+        that overtakes the coordinator's result, so the proposed handle
+        must resolve while this location is still inside the exchange."""
+
+        def prog(ctx):
+            seen = []
+            real = MpLocation._gather_exchange
+
+            def spy(self, op, payload, group):
+                if op == "register":
+                    seen.append(self.runtime.lookup(payload, self.id))
+                return real(self, op, payload, group)
+
+            MpLocation._gather_exchange = spy  # this worker process only
+            c = Cell(ctx)
+            return seen == [c]
+
+        assert mp_run(prog, 3) == [True] * 3
 
 
 class TestPointToPoint:
@@ -235,6 +266,24 @@ class TestFailures:
             ctx.rmi_fence()
         with pytest.raises(SpmdError, match="worker boom"):
             mp_run(prog, 2)
+
+    def test_root_cause_wins_over_peer_blocked_in_paragraph(self):
+        """Location 2 raises while location 0 sits in a blocked
+        ``Paragraph.run()``: the stop must unblock location 0 at once and
+        the report must name the first failure, not the lowest lid."""
+
+        def prog(ctx):
+            pg = Paragraph(ctx)
+            if ctx.id == 2:
+                raise ValueError("root cause on two")
+            if ctx.id == 0:
+                pg.add_task(lambda _chunk: None, key="never", needs=1)
+            pg.run(fence=False)
+
+        t0 = time.monotonic()
+        with pytest.raises(SpmdError, match="location 2 .*root cause on two"):
+            mp_run(prog, 3)
+        assert time.monotonic() - t0 < 2.0
 
     def test_mismatched_collective_fails_fast(self):
         def prog(ctx):

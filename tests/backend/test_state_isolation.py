@@ -1,107 +1,74 @@
-"""Latent-assumption audit: module-level mutable state under real processes.
+"""Per-run configuration and backend selection under real processes.
 
-The single-process simulator tolerates sloppy global state — every location
-shares one interpreter, so a toggle flipped anywhere is visible everywhere.
-Real worker processes break that assumption.  These tests pin down the
-contract the launcher must uphold:
+A run's behaviour is fixed by its launch arguments and nothing else:
 
-* toggles set *before* the run are snapshotted and re-applied inside every
-  worker (``snapshot_toggles``/``apply_toggles``);
-* the backend is chosen per run by ``spmd_run(..., backend=)`` and nothing
-  else (default: the simulator);
-* state mutated *inside* a worker does not leak back into the parent, and
-  one run's state does not bleed into the next.
+* the :class:`RuntimeConfig` passed as ``spmd_run(..., config=)`` is what
+  every location sees as ``ctx.config`` — on the simulator and in forked or
+  spawned workers alike; leaving it out means ``RuntimeConfig()``;
+* the backend is chosen per run by ``spmd_run(..., backend=)`` (default:
+  the simulator).
 """
+
+import dataclasses
 
 import pytest
 
+from repro.algorithms.map_reduce import word_count
 from repro.runtime import (
+    RuntimeConfig,
     SpmdError,
-    apply_toggles,
-    combining_enabled,
-    set_combining,
-    set_combining_window,
-    snapshot_toggles,
     spmd_run,
     spmd_run_detailed,
 )
-from repro.views.base import bulk_transport_enabled, set_bulk_transport
+
+LAUNCHES = (
+    {"backend": "simulated"},
+    {"backend": "multiprocessing", "timeout": 60.0},
+    {"backend": "multiprocessing", "timeout": 60.0, "start_method": "spawn"},
+)
 
 
-def _observe_toggles(ctx):
-    # Executed inside the worker process: report what the module-level
-    # toggles look like from there.
-    snap = snapshot_toggles()
-    return ctx.id, snap
+def _observe_config(ctx):
+    return ctx.config
+
+
+def _wordcount(ctx):
+    docs = [f"w{(ctx.id + i) % 5} w{i % 3} shared" for i in range(40)]
+    return word_count(ctx, docs, combine_locally=False).to_dict()
 
 
 class TestTogglePropagation:
     def test_toggles_set_before_run_reach_workers(self):
-        baseline = snapshot_toggles()
-        try:
-            set_combining(False)
-            set_combining_window(77)
-            set_bulk_transport(False)
-            out = spmd_run(_observe_toggles, nlocs=2,
-                           backend="multiprocessing", timeout=60.0)
-            for _lid, snap in out:
-                assert snap["combining"] is False
-                assert snap["combining_window"] == 77
-                assert snap["bulk_transport"] is False
-        finally:
-            apply_toggles(baseline)
+        config = RuntimeConfig(combining=False, bulk_transport=False)
+        for launch in LAUNCHES:
+            out = spmd_run(_observe_config, nlocs=2, config=config, **launch)
+            assert out == [config] * 2, launch
 
     def test_defaults_reach_workers_untouched(self):
-        baseline = snapshot_toggles()
-        out = spmd_run(_observe_toggles, nlocs=2,
-                       backend="multiprocessing", timeout=60.0)
-        for _lid, snap in out:
-            assert snap == baseline
+        for launch in LAUNCHES:
+            out = spmd_run(_observe_config, nlocs=2, **launch)
+            assert out == [RuntimeConfig()] * 2, launch
 
-    def test_snapshot_apply_round_trip(self):
-        baseline = snapshot_toggles()
-        try:
-            set_combining(not baseline["combining"])
-            set_bulk_transport(not baseline["bulk_transport"])
-            mutated = snapshot_toggles()
-            assert mutated != baseline
-            apply_toggles(baseline)
-            assert snapshot_toggles() == baseline
-            apply_toggles(mutated)
-            assert combining_enabled() is not baseline["combining"]
-            assert bulk_transport_enabled() is not baseline["bulk_transport"]
-        finally:
-            apply_toggles(baseline)
+    def test_config_is_frozen_with_exactly_four_fields(self):
+        config = RuntimeConfig()
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "combining", "lookup_cache", "dataflow", "bulk_transport"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.combining = False
+        with pytest.raises(TypeError):
+            RuntimeConfig(combining_window=8)
 
-
-def _mutate_toggles(ctx):
-    set_combining(False)
-    set_bulk_transport(False)
-    return ctx.id
-
-
-class TestIsolation:
-    def test_worker_mutations_do_not_leak_to_parent(self):
-        baseline = snapshot_toggles()
-        spmd_run(_mutate_toggles, nlocs=2, backend="multiprocessing",
-                 timeout=60.0)
-        assert snapshot_toggles() == baseline
-
-    def test_no_cross_run_state_leak(self):
-        # Two back-to-back runs with opposite toggle settings: the second
-        # run's workers must see the second snapshot, not the first.
-        baseline = snapshot_toggles()
-        try:
-            set_combining(False)
-            first = spmd_run(_observe_toggles, nlocs=2,
-                             backend="multiprocessing", timeout=60.0)
-            set_combining(True)
-            second = spmd_run(_observe_toggles, nlocs=2,
-                              backend="multiprocessing", timeout=60.0)
-            assert all(s["combining"] is False for _l, s in first)
-            assert all(s["combining"] is True for _l, s in second)
-        finally:
-            apply_toggles(baseline)
+    def test_combining_off_wordcount_identical_on_both_backends(self):
+        counts = {}
+        for launch in LAUNCHES[:2]:
+            for on in (True, False):
+                rep = spmd_run_detailed(
+                    _wordcount, nlocs=3, config=RuntimeConfig(combining=on),
+                    **launch)
+                assert (rep.stats.total.combined_ops > 0) is on
+                counts[launch["backend"], on] = rep.results[0]
+        first, *rest = counts.values()
+        assert all(c == first for c in rest)
 
 
 class TestBackendSelection:

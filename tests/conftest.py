@@ -23,15 +23,17 @@ def _reap_backend_workers():
             proc.join(timeout=5.0)
 
 
-def run(prog, nlocs=4, machine="smp", args=(), placement="packed"):
+def run(prog, nlocs=4, machine="smp", args=(), placement="packed",
+        config=None):
     """Run an SPMD program, returning per-location results."""
     return spmd_run(prog, nlocs=nlocs, machine=machine, args=args,
-                    placement=placement)
+                    placement=placement, config=config)
 
 
-def run_detailed(prog, nlocs=4, machine="smp", args=(), placement="packed"):
+def run_detailed(prog, nlocs=4, machine="smp", args=(), placement="packed",
+                 config=None):
     return spmd_run_detailed(prog, nlocs=nlocs, machine=machine, args=args,
-                             placement=placement)
+                             placement=placement, config=config)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from repro.containers.associative import (
 )
 from repro.containers.pgraph import PGraph
 from repro.containers.plist import PList
-from repro.runtime.comm import set_combining
+from repro.runtime import RuntimeConfig
 from tests.conftest import run, run_detailed
 
 
@@ -23,11 +23,8 @@ def both_modes(prog, nlocs=4, **kw):
     """Run under combining on and off; assert identical results."""
     outs = {}
     for on in (True, False):
-        prev = set_combining(on)
-        try:
-            outs[on] = run(prog, nlocs=nlocs, **kw)
-        finally:
-            set_combining(prev)
+        outs[on] = run(prog, nlocs=nlocs,
+                       config=RuntimeConfig(combining=on), **kw)
     assert outs[True] == outs[False]
     return outs[True]
 
@@ -106,11 +103,8 @@ class TestAssociativeBatch:
 
         msgs = {}
         for on in (True, False):
-            prev = set_combining(on)
-            try:
-                msgs[on] = sum(run(prog, nlocs=2))
-            finally:
-                set_combining(prev)
+            msgs[on] = sum(run(prog, nlocs=2,
+                               config=RuntimeConfig(combining=on)))
         assert msgs[False] >= 10 * msgs[True]
 
 
@@ -159,11 +153,7 @@ class TestPListBatch:
             ctx.rmi_fence()
             return pl.to_list()
 
-        prev = set_combining(True)
-        try:
-            assert run(prog, nlocs=2)[0] == list(range(100))
-        finally:
-            set_combining(prev)
+        assert run(prog, nlocs=2)[0] == list(range(100))
 
 
 class TestPGraphBatch:

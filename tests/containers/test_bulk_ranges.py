@@ -18,16 +18,14 @@ from repro.containers.pvector import PVector
 from repro.core.mappers import GeneralMapper
 from repro.core.partitions import BlockCyclicPartition, BlockedPartition
 from repro.core.traits import Traits
+from repro.runtime import RuntimeConfig
 from repro.views.array_views import Array1DView, BalancedView
-from repro.views.base import set_bulk_transport
 from tests.conftest import run, run_detailed
 
 
 @pytest.fixture(params=[True, False], ids=["bulk", "per_element"])
 def bulk_mode(request):
-    prev = set_bulk_transport(request.param)
-    yield request.param
-    set_bulk_transport(prev)
+    return RuntimeConfig(bulk_transport=request.param)
 
 
 def rotated_traits(nlocs):
@@ -277,7 +275,7 @@ class TestBulkEqualsScalarAlgorithms:
             return total
 
         n = 50 * 4
-        assert run(prog, nlocs=4) == [2.0 * n] * 4
+        assert run(prog, nlocs=4, config=bulk_mode) == [2.0 * n] * 4
 
     def test_partial_sum_identical(self, bulk_mode):
         def prog(ctx):
@@ -291,7 +289,7 @@ class TestBulkEqualsScalarAlgorithms:
             return dst.to_list()
 
         n = 30 * 4
-        for out in run(prog, nlocs=4):
+        for out in run(prog, nlocs=4, config=bulk_mode):
             assert out == list(range(1, n + 1))
 
     def test_adjacent_difference_identical(self, bulk_mode):
@@ -307,7 +305,7 @@ class TestBulkEqualsScalarAlgorithms:
 
         n = 25 * 4
         want = [0] + [i * i - (i - 1) * (i - 1) for i in range(1, n)]
-        for out in run(prog, nlocs=4):
+        for out in run(prog, nlocs=4, config=bulk_mode):
             assert out == want
 
     def test_p_equal_identical(self, bulk_mode):
@@ -326,7 +324,7 @@ class TestBulkEqualsScalarAlgorithms:
             diff = p_equal(Array1DView(a), Array1DView(b))
             return same, diff
 
-        for same, diff in run(prog, nlocs=4):
+        for same, diff in run(prog, nlocs=4, config=bulk_mode):
             assert same is True
             assert diff is False
 
@@ -352,7 +350,7 @@ class TestBulkEqualsScalarAlgorithms:
             return total_calls, pa.to_list()
 
         n = 8 * 4
-        for total_calls, data in run(prog, nlocs=4):
+        for total_calls, data in run(prog, nlocs=4, config=bulk_mode):
             assert total_calls == n // 2
             assert data[::2] == list(range(n // 2))
 
@@ -366,7 +364,7 @@ class TestBulkEqualsScalarAlgorithms:
             pa.redistribute(BlockedPartition(8))
             return pa.to_list()
 
-        for out in run(prog, nlocs=4):
+        for out in run(prog, nlocs=4, config=bulk_mode):
             assert out == list(range(16 * 4))
 
     def test_matrix_redistribute_identical(self, bulk_mode):
@@ -380,5 +378,5 @@ class TestBulkEqualsScalarAlgorithms:
             pm.redistribute(Matrix2DPartition(ctx.nlocs, 1))
             return pm.to_nested()
 
-        for out in run(prog, nlocs=4):
+        for out in run(prog, nlocs=4, config=bulk_mode):
             assert out == [[r * 8 + c for c in range(8)] for r in range(8)]

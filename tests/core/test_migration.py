@@ -8,7 +8,8 @@ from repro.containers.pgraph import PGraph
 from repro.containers.plist import PList
 from repro.containers.pmatrix import PMatrix
 from repro.containers.pvector import PVector
-from repro.core.migration import lpt_assignment, set_lookup_cache
+from repro.core.migration import lpt_assignment
+from repro.runtime import RuntimeConfig
 from tests.conftest import run, run_detailed
 
 
@@ -185,11 +186,8 @@ class TestLookupCacheEpochs:
             return [hm.find(k) for k in range(20)]
         outs = []
         for on in (True, False):
-            prev = set_lookup_cache(on)
-            try:
-                outs.append(run(prog, nlocs=4))
-            finally:
-                set_lookup_cache(prev)
+            outs.append(run(prog, nlocs=4,
+                            config=RuntimeConfig(lookup_cache=on)))
         assert outs[0] == outs[1]
 
     def test_stale_cached_route_re_forwards(self):

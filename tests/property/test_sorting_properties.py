@@ -6,14 +6,13 @@ execution modes."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.prange import set_dataflow
 from repro.algorithms.sorting import (
     _bucket_elements,
     _select_splitters,
     p_sample_sort,
 )
 from repro.containers.parray import PArray
-from repro.runtime import spmd_run
+from repro.runtime import RuntimeConfig, spmd_run
 from repro.views.array_views import Array1DView
 
 
@@ -26,11 +25,8 @@ def _run_sort(data, nlocs, dataflow):
         p_sample_sort(Array1DView(pa))
         return pa.to_list()
 
-    prev = set_dataflow(dataflow)
-    try:
-        return spmd_run(prog, nlocs=nlocs)[0]
-    finally:
-        set_dataflow(prev)
+    return spmd_run(prog, nlocs=nlocs,
+                    config=RuntimeConfig(dataflow=dataflow))[0]
 
 
 @settings(max_examples=12, deadline=None)

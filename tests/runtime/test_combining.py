@@ -1,31 +1,10 @@
 """Combining-buffer subsystem tests (Ch. III.B combining): windowed
 flushes, source-FIFO ordering with scalar RMIs, fence completion, the
-on/off ablation toggle, and the combined-op counters."""
-
-import pytest
+``RuntimeConfig(combining=False)`` ablation, and the combined-op counters."""
 
 from repro.containers.associative import PHashMap
-from repro.runtime.comm import (
-    combining_enabled,
-    combining_window,
-    set_combining,
-    set_combining_window,
-)
+from repro.runtime import COMBINING_WINDOW, RuntimeConfig
 from tests.conftest import run, run_detailed
-
-
-@pytest.fixture
-def combining_on():
-    prev = set_combining(True)
-    yield
-    set_combining(prev)
-
-
-@pytest.fixture
-def small_window():
-    prev = set_combining_window(8)
-    yield 8
-    set_combining_window(prev)
 
 
 def _remote_key_for(ctx, hm):
@@ -38,26 +17,6 @@ def _remote_key_for(ctx, hm):
         if stable_hash(key) % ctx.nlocs != ctx.id and ctx.nlocs > 1:
             return key
         i += 1
-
-
-class TestToggle:
-    def test_set_combining_returns_previous(self):
-        prev = set_combining(False)
-        try:
-            assert combining_enabled() is False
-            assert set_combining(True) is False
-            assert combining_enabled() is True
-        finally:
-            set_combining(prev)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            set_combining_window(0)
-        prev = set_combining_window(16)
-        try:
-            assert combining_window() == 16
-        finally:
-            set_combining_window(prev)
 
 
 class TestSemantics:
@@ -75,14 +34,11 @@ class TestSemantics:
 
         outs = {}
         for on in (True, False):
-            prev = set_combining(on)
-            try:
-                outs[on] = run(prog, nlocs=4)[0]
-            finally:
-                set_combining(prev)
+            outs[on] = run(prog, nlocs=4,
+                           config=RuntimeConfig(combining=on))[0]
         assert outs[True] == outs[False]
 
-    def test_fence_completes_buffered_ops(self, combining_on):
+    def test_fence_completes_buffered_ops(self):
         def prog(ctx):
             hm = PHashMap(ctx)
             hm.insert(f"key{ctx.id}", ctx.id)
@@ -91,7 +47,7 @@ class TestSemantics:
 
         assert run(prog, nlocs=4)[0] == [0, 1, 2, 3]
 
-    def test_sync_rmi_flushes_buffer_first(self, combining_on):
+    def test_sync_rmi_flushes_buffer_first(self):
         """Source-FIFO: a sync method to the same destination observes
         every buffered op issued before it, without a fence."""
 
@@ -108,7 +64,7 @@ class TestSemantics:
 
         assert all(run(prog, nlocs=4))
 
-    def test_explicit_flush_combining(self, combining_on):
+    def test_explicit_flush_combining(self):
         """Container-level flush moves records into the network (they
         execute at the destination's next poll/drain, not immediately)."""
 
@@ -126,7 +82,7 @@ class TestSemantics:
 
         assert all(run(prog, nlocs=2))
 
-    def test_cross_container_fifo(self, combining_on):
+    def test_cross_container_fifo(self):
         """Source FIFO holds across p_objects on one channel: switching
         containers flushes the older buffer first, so replay order at the
         destination equals issue order."""
@@ -150,7 +106,7 @@ class TestSemantics:
         assert all(run(prog, nlocs=2))
         assert trace == ["a1", "b1", "a2"]
 
-    def test_os_fence_completes_buffered_ops(self, combining_on):
+    def test_os_fence_completes_buffered_ops(self):
         def prog(ctx):
             hm = PHashMap(ctx)
             ctx.rmi_fence()
@@ -167,24 +123,23 @@ class TestSemantics:
 
 
 class TestAccounting:
-    def test_window_flush_is_one_physical_message(self, combining_on,
-                                                  small_window):
+    def test_window_flush_is_one_physical_message(self):
         def prog(ctx):
             hm = PHashMap(ctx)
             ctx.rmi_fence()
             if ctx.id == 0:
                 key = _remote_key_for(ctx, hm)
                 msgs0 = ctx.stats.physical_messages
-                for _ in range(3 * small_window):
+                for _ in range(3 * COMBINING_WINDOW):
                     hm.accumulate(key, 1)
                 assert ctx.stats.physical_messages - msgs0 == 3
                 assert ctx.stats.combining_flushes == 3
-                assert ctx.stats.combined_ops == 3 * small_window
+                assert ctx.stats.combined_ops == 3 * COMBINING_WINDOW
             ctx.rmi_fence()
             return hm.to_dict()
 
         out = run(prog, nlocs=2)[0]
-        assert sum(out.values()) == 3 * 8
+        assert sum(out.values()) == 3 * COMBINING_WINDOW
 
     def test_message_reduction_vs_scalar(self):
         """Combining cuts physical messages by ~window/aggregation on an
@@ -209,15 +164,12 @@ class TestAccounting:
 
         msgs = {}
         for on in (True, False):
-            prev = set_combining(on)
-            try:
-                rep = run_detailed(prog, nlocs=2)
-            finally:
-                set_combining(prev)
+            rep = run_detailed(prog, nlocs=2,
+                               config=RuntimeConfig(combining=on))
             msgs[on] = rep.stats.total.physical_messages
         assert msgs[True] < msgs[False]
 
-    def test_no_combining_for_local_ops(self, combining_on):
+    def test_no_combining_for_local_ops(self):
         """Ops resolving to the calling location never buffer."""
 
         def prog(ctx):
