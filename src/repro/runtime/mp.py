@@ -370,22 +370,23 @@ def _slab_view(obj: ShmSlab, seg) -> np.ndarray:
     return arr.reshape(obj.shape)
 
 
-def pack_payload(obj, arena: ShmArena, threshold: int = SHM_SLAB_THRESHOLD,
-                 _depth: int = 0, live_ok: bool = False):
-    """Replace ndarrays of at least ``threshold`` bytes inside ``obj``
-    (recursing through tuples, lists and dicts) with :class:`ShmSlab`
-    references into ``arena``: a copy in a pooled (warm, owner-reclaimed)
-    segment, or — when ``live_ok`` and the array is recognised as
-    container storage — a reference straight into that storage.
-    ``live_ok`` must only be set for synchronous replies, and is sound
-    under the collectives' epoch discipline: a range read remotely within
-    an epoch is not written until after the separating fence, so the
-    requester dereferences the view before the owner's next write to it.
-    A consumer that holds the view across protocol events without an
-    intervening fence must snapshot it (``OverlapView.materialize``
-    does)."""
-    if isinstance(obj, np.ndarray) and obj.dtype != object \
-            and obj.nbytes >= threshold:
+def _slab_eligible(obj, threshold: int) -> bool:
+    """The one rule for which values ride shared memory (asked both by the
+    in-band pass's scanner and by the tree walk): a non-object ndarray of
+    at least ``threshold`` bytes."""
+    return isinstance(obj, np.ndarray) and obj.dtype != object \
+        and obj.nbytes >= threshold
+
+
+def _pack_tree(obj, arena: ShmArena, threshold: int, live_ok: bool,
+               _depth: int = 0):
+    """The slab walk: replace slab-eligible ndarrays reachable from
+    ``obj`` through tuples, lists and dicts (to depth ``_PACK_DEPTH``)
+    with :class:`ShmSlab` references into ``arena`` — a copy in a pooled
+    (warm, owner-reclaimed) segment, or, when ``live_ok`` and the array is
+    recognised as container storage, a reference straight into that
+    storage.  Everything else is passed through by reference."""
+    if _slab_eligible(obj, threshold):
         if live_ok:
             live = arena.find_live(obj)
             if live is not None:
@@ -401,19 +402,19 @@ def pack_payload(obj, arena: ShmArena, threshold: int = SHM_SLAB_THRESHOLD,
     if _depth >= _PACK_DEPTH:
         return obj
     if isinstance(obj, tuple):
-        return tuple(pack_payload(o, arena, threshold, _depth + 1, live_ok)
+        return tuple(_pack_tree(o, arena, threshold, live_ok, _depth + 1)
                      for o in obj)
     if isinstance(obj, list):
-        return [pack_payload(o, arena, threshold, _depth + 1, live_ok)
+        return [_pack_tree(o, arena, threshold, live_ok, _depth + 1)
                 for o in obj]
     if isinstance(obj, dict):
-        return {k: pack_payload(v, arena, threshold, _depth + 1, live_ok)
+        return {k: _pack_tree(v, arena, threshold, live_ok, _depth + 1)
                 for k, v in obj.items()}
     return obj
 
 
-def unpack_payload(obj, cache: SegmentCache | None = None, _depth: int = 0):
-    """Inverse of :func:`pack_payload`.  Slab segments are owner-managed:
+def _unpack_tree(obj, cache: SegmentCache | None, _depth: int = 0):
+    """Inverse of :func:`_pack_tree`.  Slab segments are owner-managed:
     with a :class:`SegmentCache` the receiver maps the segment (cached per
     name) and returns a read-only zero-copy view; without one (standalone
     use) the bytes are copied out and the mapping dropped.  The segment is
@@ -435,11 +436,11 @@ def unpack_payload(obj, cache: SegmentCache | None = None, _depth: int = 0):
     if _depth >= _PACK_DEPTH:
         return obj
     if isinstance(obj, tuple):
-        return tuple(unpack_payload(o, cache, _depth + 1) for o in obj)
+        return tuple(_unpack_tree(o, cache, _depth + 1) for o in obj)
     if isinstance(obj, list):
-        return [unpack_payload(o, cache, _depth + 1) for o in obj]
+        return [_unpack_tree(o, cache, _depth + 1) for o in obj]
     if isinstance(obj, dict):
-        return {k: unpack_payload(v, cache, _depth + 1) for k, v in obj.items()}
+        return {k: _unpack_tree(v, cache, _depth + 1) for k, v in obj.items()}
     return obj
 
 
@@ -462,10 +463,20 @@ def unpack_payload(obj, cache: SegmentCache | None = None, _depth: int = 0):
 #   another process is that process's own runtime.  MpRuntime/MpLocation
 #   reduce to per-process sentinels.
 #
-# Messages are serialized *at the send site* (`MpRuntime._put`), not by the
-# queue's feeder thread: an unserializable payload raises in the sender's
-# stack with a real traceback instead of hanging the run from a daemon
-# thread.
+# Messages are serialized *at the send site*, not by the queue's feeder
+# thread: an unserializable payload raises in the sender's stack with a
+# real traceback instead of hanging the run from a daemon thread.
+#
+# Each payload is serialized exactly once (`pack_payload`), and that one
+# pickle pass is also the scan for slab-eligible ndarrays: the C pickler
+# calls ``reducer_override`` only for non-builtin objects, so a flush of a
+# thousand (handle, method, args) records costs no Python at all, and the
+# pass aborts at the first eligible ndarray it meets.  Only then does the
+# tree walk (`_pack_tree`) run and the walked tree travel behind a flag
+# byte.  The envelope (`MpRuntime._put`) carries the packed payload as one
+# ``bytes`` — a memcpy for the outer pickler — and relays (gather
+# multicast, the collective coordinator, the slab inbox) forward it
+# untouched.
 # ---------------------------------------------------------------------------
 
 #: the process's active runtime, installed by ``_worker_main`` — the anchor
@@ -553,6 +564,69 @@ def wire_loads(data: bytes):
     return pickle.loads(data)
 
 
+class _SlabEligible(Exception):
+    """Raised out of the in-band pass at the first slab-eligible ndarray."""
+
+
+class _ScanPickler(_WirePickler):
+    """The wire pickler doubling as :func:`pack_payload`'s scanner."""
+
+    def __init__(self, buf, threshold: int):
+        super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        self.threshold = threshold
+
+    def reducer_override(self, obj):
+        if _slab_eligible(obj, self.threshold):
+            raise _SlabEligible
+        return super().reducer_override(obj)
+
+
+#: first byte of a packed payload whose tree was walked (ShmSlab refs
+#: inside); an in-band payload is a bare pickle, which starts with the
+#: PROTO opcode ``\x80``
+_WALKED = b"\x00"
+
+
+def pack_payload(obj, arena: ShmArena, threshold: int = SHM_SLAB_THRESHOLD,
+                 live_ok: bool = False) -> bytes:
+    """Serialize one payload for the wire, once.  A payload in which the
+    pickle pass meets no slab-eligible ndarray (:func:`_slab_eligible`) is
+    just its pickle.  Otherwise the slab walk (:func:`_pack_tree`) moves
+    the eligible arrays *reachable through tuples, lists and dicts* into
+    shared memory and the walked tree is pickled behind the ``_WALKED``
+    flag byte.  An eligible array the pickler meets anywhere else — a
+    closure cell, an object attribute — triggers the walk but is not
+    moved: it travels by value, as it always has, because a zero-copy view
+    of it would die at the sender's next fence.
+
+    ``live_ok`` must only be set for synchronous replies, and is sound
+    under the collectives' epoch discipline: a range read remotely within
+    an epoch is not written until after the separating fence, so the
+    requester dereferences the view before the owner's next write to it.
+    A consumer that holds the view across protocol events without an
+    intervening fence must snapshot it (``OverlapView.materialize``
+    does)."""
+    buf = io.BytesIO()
+    try:
+        _ScanPickler(buf, threshold).dump(obj)
+        return buf.getvalue()
+    except _SlabEligible:
+        pass
+    buf = io.BytesIO()
+    buf.write(_WALKED)
+    _WirePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(
+        _pack_tree(obj, arena, threshold, live_ok))
+    return buf.getvalue()
+
+
+def unpack_payload(packed: bytes, cache: SegmentCache | None = None):
+    """Inverse of :func:`pack_payload`: one ``pickle.loads``, plus the
+    slab walk back (:func:`_unpack_tree`) for flagged payloads only."""
+    if packed.startswith(_WALKED):
+        return _unpack_tree(pickle.loads(memoryview(packed)[1:]), cache)
+    return pickle.loads(packed)
+
+
 class MpTransport(TransportBackend):
     """Eager queue transport: enqueue hands the message to the destination
     process immediately; there is no buffered channel to drain."""
@@ -568,32 +642,50 @@ class MpTransport(TransportBackend):
 
     def enqueue(self, msg: Message) -> bool:
         rt = self.rt
-        rt.req_sent += 1
-        rt.sent_to[msg.dst] += 1
-        packed = rt._pack(msg.args)
+        # serialize and post first, count after: a payload that fails to
+        # serialize raises here, in the caller's stack, before any fence
+        # counter, token or credit has moved.  (Nothing can run in
+        # between: this process services incoming traffic only from its
+        # own blocking waits.)
+        packed = rt._pack(msg.args, msg.dst)
         if msg.future is not None:
             # token request: the reply resolves the future and carries the
             # count of same-origin requests the handler spawned
-            rt._next_token += 1
-            token = rt._next_token
+            token = rt._next_token + 1
+            rt._put(msg.dst, ("sync", msg.src, token, msg.handle, msg.method,
+                              packed))
+            rt._next_token = token
             rt._futures[token] = msg.future
             if not rt._spawn_frames:
                 # top-level request: os_fence must wait for it, so count
                 # it outstanding until its reply (credit -1) arrives
                 rt.outstanding += 1
                 rt._reply_credit[token] = -1
-            rt._put(msg.dst, ("sync", msg.src, token, msg.handle, msg.method,
-                              packed))
-            return True
-        if rt._spawn_frames:
-            # handler-spawned (forwarded) request: accounted by the ack
-            # credit this handler sends to the message's origin
-            rt._spawn_frames[-1] += 1
-        elif msg.origin == rt.lid:
-            rt.outstanding += 1
-        rt._put(msg.dst, ("req", msg.src, msg.origin, msg.handle, msg.method,
-                          packed))
+        else:
+            rt._put(msg.dst, ("req", msg.src, msg.origin, msg.handle,
+                              msg.method, packed))
+            if rt._spawn_frames:
+                # handler-spawned (forwarded) request: accounted by the
+                # ack credit this handler sends to the message's origin
+                rt._spawn_frames[-1] += 1
+            elif msg.origin == rt.lid:
+                rt.outstanding += 1
+        rt.req_sent += 1
+        rt.sent_to[msg.dst] += 1
         return True
+
+
+class _SelfPayload:
+    """Packed form of a self-send: the walked tree itself.  A self-send is
+    never pickled — closures and object identity arrive by reference
+    through ``_selfq`` — but its slab-eligible arrays still snapshot into
+    the arena, so the handler sees the value as of the send whatever the
+    sender does to the array afterwards."""
+
+    __slots__ = ("tree",)
+
+    def __init__(self, tree):
+        self.tree = tree
 
 
 class MpRuntime:
@@ -683,8 +775,16 @@ class MpRuntime:
             raise SpmdError(f"unknown p_object handle {handle}") from None
 
     # -- wire helpers ------------------------------------------------------
-    def _pack(self, obj, live_ok: bool = False):
+    def _pack(self, obj, dest: int | None = None, live_ok: bool = False):
+        if dest == self.lid:
+            return _SelfPayload(
+                _pack_tree(obj, self.arena, SHM_SLAB_THRESHOLD, live_ok))
         return pack_payload(obj, self.arena, live_ok=live_ok)
+
+    def _unpack(self, packed):
+        if type(packed) is _SelfPayload:
+            return _unpack_tree(packed.tree, self.seg_cache)
+        return unpack_payload(packed, self.seg_cache)
 
     def _new_shm_name(self) -> str:
         self._shm_count += 1
@@ -722,7 +822,7 @@ class MpRuntime:
 
     def _execute_req(self, item) -> None:
         _, src, origin, handle, method, packed = item
-        args = unpack_payload(packed, self.seg_cache)
+        args = self._unpack(packed)
         self.req_executed += 1
         self.exec_from[src] += 1
         self._spawn_frames.append(0)
@@ -734,7 +834,7 @@ class MpRuntime:
 
     def _execute_sync(self, item) -> None:
         _, src, token, handle, method, packed = item
-        args = unpack_payload(packed, self.seg_cache)
+        args = self._unpack(packed)
         self.req_executed += 1
         self.exec_from[src] += 1
         self._spawn_frames.append(0)
@@ -747,8 +847,8 @@ class MpRuntime:
         # next fence, which the blocked requester reaches only after
         # dereferencing (holders without a fence snapshot — see
         # pack_payload)
-        self._put(src, ("reply", token, self._pack(result, live_ok=True),
-                        spawned))
+        self._put(src, ("reply", token,
+                        self._pack(result, src, live_ok=True), spawned))
 
     # -- service engine ----------------------------------------------------
     def _next_item(self, block: bool, timeout: float):
@@ -781,8 +881,7 @@ class MpRuntime:
         elif kind == "reply":
             _, token, packed, spawned = item
             self.outstanding += spawned + self._reply_credit.pop(token, 0)
-            self._futures.pop(token)._resolve(
-                unpack_payload(packed, self.seg_cache), 0.0)
+            self._futures.pop(token)._resolve(self._unpack(packed), 0.0)
         elif kind == "ack":
             self.outstanding += item[1] - 1
         elif kind == "coll":

@@ -25,7 +25,6 @@ from repro.runtime import spmd_run
 from repro.runtime.mp import (
     SegmentCache,
     ShmArena,
-    ShmSlab,
     pack_payload,
     unpack_payload,
 )
@@ -36,6 +35,23 @@ _counter = [0]
 def _namer():
     _counter[0] += 1
     return f"rstest_zc_{_counter[0]}"
+
+
+def _segments() -> set:
+    """Names of this module's segments currently in ``/dev/shm``."""
+    return {p.rsplit("/", 1)[1] for p in glob.glob("/dev/shm/rstest_zc_*")}
+
+
+def _offset_in(view, cache, name):
+    """Byte offset of ``view`` inside ``cache``'s mapping of segment
+    ``name``, or None when the view is not a window into that segment.
+    The packed payload is opaque bytes; which segment a received view
+    rides is read off the view itself."""
+    base = np.frombuffer(cache.attach(name).buf, dtype=np.uint8)
+    if not np.shares_memory(view, base):
+        return None
+    return (view.__array_interface__["data"][0]
+            - base.__array_interface__["data"][0])
 
 
 @pytest.fixture
@@ -126,18 +142,22 @@ def test_pooled_round_trip_and_warm_reuse(arena):
     cache = SegmentCache()
     try:
         src = np.arange(512, dtype=np.int64)
-        ref = pack_payload(src, arena, threshold=1)
-        assert isinstance(ref, ShmSlab)
-        out = unpack_payload(ref, cache)
+        before = _segments()
+        packed = pack_payload(src, arena, threshold=1)
+        (name,) = _segments() - before  # the slab rode one fresh segment
+        out = unpack_payload(packed, cache)
+        assert _offset_in(out, cache, name) == 0
         assert not out.flags.writeable
         np.testing.assert_array_equal(out, src, strict=True)
         # after a fence the same warm segment carries the next slab, so
         # the receiver's cached mapping stays valid — zero syscalls
         arena.advance_epoch()
-        ref2 = pack_payload(src * 2, arena, threshold=1)
-        assert ref2.name == ref.name
-        np.testing.assert_array_equal(unpack_payload(ref2, cache), src * 2)
-        del out  # drop buffer exports so close/unlink are clean
+        out2 = unpack_payload(pack_payload(src * 2, arena, threshold=1),
+                              cache)
+        assert _segments() == before | {name}
+        assert _offset_in(out2, cache, name) == 0
+        np.testing.assert_array_equal(out2, src * 2)
+        del out, out2  # drop buffer exports so close/unlink are clean
     finally:
         cache.close()
 
@@ -147,14 +167,16 @@ def test_live_round_trip_is_a_reference(arena):
     try:
         arr = arena.storage_alloc((256,), "int64")
         arr[...] = np.arange(256)
-        ref = pack_payload(arr, arena, threshold=1, live_ok=True)
-        assert isinstance(ref, ShmSlab)
-        assert (ref.name, ref.offset) == arena.find_live(arr)
-        view = unpack_payload(ref, cache)
+        before = _segments()
+        packed = pack_payload(arr[16:], arena, threshold=1, live_ok=True)
+        assert _segments() == before  # no pooled copy was made
+        view = unpack_payload(packed, cache)
+        name, off = arena.find_live(arr[16:])
+        assert _offset_in(view, cache, name) == off == 16 * 8
         assert not view.flags.writeable
-        np.testing.assert_array_equal(view, arr, strict=True)
+        np.testing.assert_array_equal(view, arr[16:], strict=True)
         # a live slab is a window into owner storage, not a snapshot
-        arr[0] = 999
+        arr[16] = 999
         assert view[0] == 999
         del view, arr  # drop buffer exports so close/unlink are clean
     finally:
@@ -162,22 +184,37 @@ def test_live_round_trip_is_a_reference(arena):
 
 
 def test_live_needs_live_ok(arena):
-    arr = arena.storage_alloc((256,), "int64")
-    arr[...] = 7
-    ref = pack_payload(arr, arena, threshold=1)
-    # async sends always snapshot into a pooled segment
-    assert ref.name != arena.find_live(arr)[0]
+    cache = SegmentCache()
+    try:
+        arr = arena.storage_alloc((256,), "int64")
+        arr[...] = 7
+        before = _segments()
+        packed = pack_payload(arr, arena, threshold=1)
+        # async sends always snapshot into a pooled segment
+        (pooled,) = _segments() - before
+        view = unpack_payload(packed, cache)
+        assert _offset_in(view, cache, arena.find_live(arr)[0]) is None
+        assert _offset_in(view, cache, pooled) == 0
+        arr[0] = 8
+        assert view[0] == 7
+        del view, arr  # drop buffer exports so close/unlink are clean
+    finally:
+        cache.close()
 
 
 def test_unpack_without_cache_copies_but_never_unlinks(arena):
     src = np.arange(1024, dtype=np.float64)
-    ref = pack_payload(src, arena, threshold=1)
-    out = unpack_payload(ref)
+    before = _segments()
+    packed = pack_payload(src, arena, threshold=1)
+    (name,) = _segments() - before
+    out = unpack_payload(packed)
     assert out.flags.writeable  # a private copy
     np.testing.assert_array_equal(out, src, strict=True)
+    assert name in _segments()  # still the owner's to reclaim
     # the owner still reclaims the segment normally afterwards
     arena.advance_epoch()
-    assert pack_payload(src, arena, threshold=1).name == ref.name
+    pack_payload(src, arena, threshold=1)
+    assert _segments() == before | {name}
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +292,10 @@ def test_storage_slab_survives_epochs(dtype, shape, live, epochs):
         arr = arena.storage_alloc(tuple(shape), dtype)
         assert arr is not None
         arr[...] = (rng.random(shape) * 100).astype(dtype)
-        ref = pack_payload(arr, arena, threshold=1, live_ok=live)
-        assert (ref.name == arena.find_live(arr)[0]) is live
-        view = unpack_payload(ref, cache)
+        view = unpack_payload(
+            pack_payload(arr, arena, threshold=1, live_ok=live), cache)
+        storage = arena.find_live(arr)[0]
+        assert (_offset_in(view, cache, storage) == 0) is live
         before = view.copy()
         for _ in range(epochs):
             arena.advance_epoch()  # what a migration commit fence does
