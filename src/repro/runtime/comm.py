@@ -77,11 +77,12 @@ class TransportBackend(abc.ABC):
       eager transport that hands messages to the destination immediately).
 
     Collectives and fences are *protocols over* the transport, not
-    primitives of it: the simulated backend rendezvouses through the
-    conductor (:meth:`~.scheduler.Runtime._finish_rendezvous`), the
-    multiprocessing backend runs a gather/scatter engine plus a counting
-    fence over the same member-side reduction math
-    (:func:`~.scheduler.collective_results`).
+    primitives of it: ``Location._collective`` is written once over two
+    runtime primitives, ``exchange`` and ``fence``.  The simulated runtime
+    implements them as a rendezvous through the conductor
+    (:meth:`~.scheduler.Runtime.exchange`), the multiprocessing runtime as
+    eager point-to-point sends into a parked inbox plus a counting fence
+    (:meth:`~.mp.MpRuntime.exchange`).
     """
 
     #: whether representatives on other locations share this address space

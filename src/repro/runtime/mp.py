@@ -19,17 +19,17 @@ runtime API):
   :class:`~repro.runtime.comm.TransportBackend`, which every inherited
   send — asyncs, split-phase requests, combining-buffer flushes, bulk slab
   pushes — funnels into) and *wait for one reply*
-  (:meth:`MpLocation._round_trip`, a token exchange).  Collectives ride a
-  gather/scatter engine and the fence becomes a counting protocol.
-* Collectives never pickle reduction operators: members exchange raw
-  payloads through the group's lowest-lid coordinator and every member
-  computes the result locally with
-  :func:`~repro.runtime.scheduler.collective_results` — the exact code the
-  simulated conductor runs, so the two backends cannot drift.
-* ``rmi_fence`` is a counting fence: rounds of (messages sent, messages
-  executed) exchanges until the global totals are equal and stable for two
+  (:meth:`MpLocation._round_trip`, a token exchange).
+* The collective protocol is inherited too — ``Location._collective`` is
+  written once — over the two primitives :class:`MpRuntime` implements:
+  :meth:`MpRuntime.exchange` (eager point-to-point sends into a parked
+  inbox, no coordinator; payloads ride the slab transport and reduction
+  operators never cross a process boundary, every member folds its own
+  result) and :meth:`MpRuntime.fence`.
+* The fence is a counting fence: rounds of (messages sent, messages
+  executed) exchanges until the group totals are equal and stable for two
   consecutive rounds; every blocked wait services incoming requests, so
-  fences, sync RMIs and slab exchanges can never deadlock against each
+  fences, sync RMIs and exchanges can never deadlock against each
   other.  ``os_fence`` uses weighted ack credits: every executed request
   acknowledges its *origin* with the number of same-origin requests its
   handler spawned, so one-sided quiescence needs no collective.
@@ -51,6 +51,7 @@ container families and the algorithm drivers.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import importlib
 import io
@@ -72,13 +73,7 @@ from .comm import Message, TransportBackend, estimate_size
 from .config import RuntimeConfig
 from .future import Future
 from .machine import get_machine
-from .scheduler import (
-    Location,
-    LocationGroup,
-    SpmdError,
-    SpmdReport,
-    collective_results,
-)
+from .scheduler import Location, LocationGroup, SpmdError, SpmdReport
 from .stats import RunStats
 
 #: default per-blocking-operation deadline (seconds); a stuck fence,
@@ -474,9 +469,8 @@ def _unpack_tree(obj, cache: SegmentCache | None, _depth: int = 0):
 # pass aborts at the first eligible ndarray it meets.  Only then does the
 # tree walk (`_pack_tree`) run and the walked tree travel behind a flag
 # byte.  The envelope (`MpRuntime._put`) carries the packed payload as one
-# ``bytes`` — a memcpy for the outer pickler — and relays (gather
-# multicast, the collective coordinator, the slab inbox) forward it
-# untouched.
+# ``bytes`` — a memcpy for the outer pickler — and the exchange's multicast
+# and parked inbox forward it untouched.
 # ---------------------------------------------------------------------------
 
 #: the process's active runtime, installed by ``_worker_main`` — the anchor
@@ -718,12 +712,8 @@ class MpRuntime:
         self.loc = MpLocation(self, lid)
         self.arena = ShmArena(self._new_shm_name, stats=self.loc.stats)
         self.seg_cache = SegmentCache(stats=self.loc.stats)
-        # handles are group-scoped tuples (group.key, seq): disjoint
-        # subgroups registering concurrently draw from independent
-        # sequence spaces, so their counters cannot desynchronise the way
-        # a single global integer counter would
-        self.registry: dict[tuple, object] = {}
-        self._handle_seq: dict[tuple, int] = {}
+        #: handle -> {lid: representative}, this location's only
+        self.registry: dict[tuple, dict] = {}
         self._exec_stack: list = []
         self._exec_depth = 0
         # transport state: totals plus per-peer splits — a fence over a
@@ -740,8 +730,7 @@ class MpRuntime:
         self._reply_credit: dict[int, int] = {}
         self._next_token = 0
         self._shm_count = 0
-        self._coll_gather: dict = {}
-        self._coll_results: dict = {}
+        #: parked exchange payloads: (group.key, seq) -> {src: (op, packed)}
         self._slab_inbox: dict = {}
         self._stopped = False
 
@@ -763,6 +752,13 @@ class MpRuntime:
             return self._exec_stack[-1][1]
         return self.lid
 
+    def registration_handle(self, group: LocationGroup, seq: int) -> tuple:
+        """RMI handle of ``group``'s ``seq``-th registration.  Group-scoped,
+        so every member derives it without communication and disjoint
+        subgroups registering concurrently (sibling nested sections) cannot
+        desynchronise each other's handle spaces."""
+        return (group.key, seq)
+
     def lookup(self, handle: int, lid: int):
         if lid != self.lid:
             raise SpmdError(
@@ -770,7 +766,7 @@ class MpRuntime:
                 f"(handle {handle} on location {lid}) — the multiprocessing "
                 "backend has no shared address space")
         try:
-            return self.registry[handle]
+            return self.registry[handle][lid]
         except KeyError:
             raise SpmdError(f"unknown p_object handle {handle}") from None
 
@@ -884,15 +880,9 @@ class MpRuntime:
             self._futures.pop(token)._resolve(self._unpack(packed), 0.0)
         elif kind == "ack":
             self.outstanding += item[1] - 1
-        elif kind == "coll":
-            _, key, op, src, payload = item
-            self._coll_gather.setdefault(key, {})[src] = (op, payload)
-        elif kind == "collres":
-            _, key, arrived = item
-            self._coll_results[key] = arrived
         elif kind == "slab":
-            _, key, src, packed = item
-            self._slab_inbox.setdefault(key, {})[src] = packed
+            _, key, src, op, packed = item
+            self._slab_inbox.setdefault(key, {})[src] = (op, packed)
         elif kind == "stop":
             self._stopped = True
         return kind
@@ -944,9 +934,6 @@ class MpRuntime:
             return 0
         return self.drain_available()
 
-    def drain_origin(self, origin: int) -> int:  # pragma: no cover - parity
-        return self.drain_available()
-
     def group_progress(self, members) -> int:
         # local view: requests executed here *from the group's members*
         # plus local tasks run.  A blocked subgroup executor observes
@@ -959,26 +946,69 @@ class MpRuntime:
         # wall-clock patience: the same window regardless of group size
         return max(16, int(_STALL_PATIENCE / self.yield_timeout))
 
-    # -- fence protocols ---------------------------------------------------
+    # -- the two collective primitives + the one-sided fence ----------------
+    def exchange(self, loc: "MpLocation", op: str, payload,
+                 group: LocationGroup, personalised: bool) -> dict:
+        """Every member's ``payload`` lands on every member: returns
+        ``{lid: payload}``, or — ``personalised`` — the piece of each
+        member's per-rank sequence bound for this location.  Eager
+        point-to-point sends (shared-memory backed, a payload bound for
+        several members packed once) and a parked inbox keyed by the
+        group's exchange count: no coordinator, one queue hop per member."""
+        loc.clock += self.machine.collective_cost(len(group))
+        seq = loc._coll_seq.get(group.key, 0)
+        loc._coll_seq[group.key] = seq + 1
+        key = (group.key, seq)
+        mine, packed = payload, None
+        for rank, member in enumerate(group.members):
+            if member == self.lid:
+                if personalised:
+                    mine = payload[rank]
+                continue
+            if personalised:
+                packed = self._pack(payload[rank])
+            elif packed is None:
+                packed = self._pack(payload)
+            self._put(member, ("slab", key, self.lid, op, packed))
+        # a bulk round's arena channel covers the packs above only: what
+        # handlers pack while this location waits retires into the epoch
+        self.arena.end_channel()
+        self._service_until(
+            lambda: len(self._slab_inbox.get(key, ())) == len(group) - 1,
+            f"collective '{op}' on {group}")
+        arrived = {self.lid: mine}
+        box = self._slab_inbox.pop(key, {})
+        for member, (their_op, packed) in box.items():
+            if their_op != op:
+                raise SpmdError(
+                    f"collective mismatch on {group}: location {self.lid} "
+                    f"called '{op}' but location {member} called "
+                    f"'{their_op}'")
+            arrived[member] = self._unpack(packed)
+        return arrived
+
     def fence(self, loc: "MpLocation", group: LocationGroup) -> None:
-        """Counting fence: drain, exchange (sent, executed) snapshots, and
-        finish once the group totals are equal and stable for two
-        consecutive rounds (the second round certifies no message was in
-        flight past anyone's snapshot).
+        """Counting fence: flush combining buffers (directly — coalescing
+        through a node leader would be a real extra hop between processes),
+        drain, exchange (sent, executed) snapshots, and finish once the
+        group totals are equal and stable for two consecutive rounds (the
+        second round certifies no message was in flight past anyone's
+        snapshot).
 
         Counting is per-peer and restricted to the group: each member
         contributes its sends *to members* and executions *from members*.
         A subgroup fence therefore quiesces exactly the traffic among the
         sub-team — a member's sends to outside locations (whose execution
-        counters the group gather never sees) cannot stall it, and
+        counters the group exchange never sees) cannot stall it, and
         non-member locations are never blocked or drained by it."""
-        if len(group) == 1 or self.nlocs == 1:
+        loc.flush_combining()
+        if len(group) == 1:
             while self.drain_available():
                 pass
             # anything still in the self-queue was spawned by the drain
             while self._selfq:
                 self.drain_available()
-            if len(group) == self.nlocs:
+            if self.nlocs == 1:
                 self.arena.advance_epoch()
             return
         deadline = time.monotonic() + self.op_timeout
@@ -987,7 +1017,7 @@ class MpRuntime:
             self.drain_available()
             snap = (sum(self.sent_to[m] for m in group.members),
                     sum(self.exec_from[m] for m in group.members))
-            arrived = loc._gather_exchange("fence", snap, group)
+            arrived = self.exchange(loc, "fence", snap, group, False)
             sent = sum(v[0] for v in arrived.values())
             done = sum(v[1] for v in arrived.values())
             if sent == done and prev == (sent, done):
@@ -1003,6 +1033,14 @@ class MpRuntime:
                 raise SpmdError(
                     f"location {self.lid}: fence never quiesced "
                     f"(sent={sent}, executed={done}) — likely deadlock")
+
+    def os_fence(self, loc: "MpLocation") -> None:
+        """One-sided fence: weighted ack credits return to the origin, so
+        quiescence of what ``loc`` originated needs no collective."""
+        loc.flush_combining()
+        self._service_until(lambda: self.outstanding <= 0,
+                            "os_fence (one-sided quiescence of originated "
+                            "RMIs)")
 
     # -- SPMD entry --------------------------------------------------------
     def run_local(self, fn, args: tuple):
@@ -1043,199 +1081,49 @@ class MpLocation(Location):
                           f"reply from location {dest} ({method})")
         return fut.value
 
-    def _slab_exchange(self, tag: str, per_dest, group: LocationGroup):
-        """Common engine of bulk_exchange/bulk_gather: eager point-to-point
-        slab sends (shared-memory backed) plus a parked-inbox collection —
-        no coordinator in the data path.  ``per_dest(member)`` yields the
-        payload for one destination."""
+    # -- bulk transport ------------------------------------------------------
+    # The same collectives as the simulator's (alltoall / allgather), minus
+    # its node-aware virtual cost model, plus the arena channel: a round's
+    # segments recycle two rounds later instead of at the next world fence.
+
+    def bulk_exchange(self, slabs: list, group: LocationGroup | None = None,
+                      nelems: int = 0) -> list:
+        group = group or self.runtime.world
+        outgoing = [s for m, s in zip(group.members, slabs) if m != self.id]
+        with self._bulk_round("x", outgoing, group, nelems):
+            return self.alltoall_rmi(slabs, group)
+
+    def bulk_gather(self, payload, group: LocationGroup | None = None,
+                    nelems: int = 0) -> list:
+        group = group or self.runtime.world
+        with self._bulk_round("g", [payload] * (len(group) - 1), group,
+                              nelems):
+            return self.allgather_rmi(payload, group)
+
+    @contextlib.contextmanager
+    def _bulk_round(self, tag: str, outgoing: list, group: LocationGroup,
+                    nelems: int):
+        """Count one bulk round's ``outgoing`` slabs and open its arena
+        channel for the collective run inside the ``with`` block."""
         rt = self.runtime
+        self.stats.bulk_elements_moved += nelems
+        for slab in outgoing:
+            self.clock += rt.machine.o_send
+            self.stats.bulk_rmi_sent += 1
+            self.stats.bytes_sent += 64 + estimate_size(slab)
+            self.stats.physical_messages += 1
         seq = self._slab_seq.get((tag, group.key), 0)
         self._slab_seq[(tag, group.key)] = seq + 1
-        key = (tag, group.key, seq)
-        others = [m for m in group.members if m != self.id]
         # retire this round's segments into the exchange channel:
         # completing round seq-1 proved every peer consumed round seq-2, so
         # those recycle now without waiting for a fence
         rt.arena.begin_channel((tag, group.key), seq)
-        packed_once: dict = {}  # id(payload) -> packed (gather multicast)
-        keep_alive: list = []   # pins ids: no reuse while packed_once lives
         try:
-            for member in others:
-                payload = per_dest(member)
-                size = 64 + estimate_size(payload)
-                self.clock += rt.machine.o_send
-                self.stats.bulk_rmi_sent += 1
-                self.stats.bytes_sent += size
-                self.stats.physical_messages += 1
-                packed = packed_once.get(id(payload))
-                if packed is None:
-                    packed = rt._pack(payload)
-                    packed_once[id(payload)] = packed
-                    keep_alive.append(payload)
-                rt._put(member, ("slab", key, self.id, packed))
+            yield
         finally:
             rt.arena.end_channel()
-        rt._service_until(
-            lambda: len(rt._slab_inbox.get(key, ())) == len(others),
-            f"bulk slab exchange {key}")
-        box = rt._slab_inbox.pop(key, {})
-        return {m: unpack_payload(p, rt.seg_cache) for m, p in box.items()}
 
-    def bulk_exchange(self, slabs: list, group: LocationGroup | None = None,
-                      nelems: int = 0) -> list:
-        rt = self.runtime
-        group = group or rt.world
-        self.stats.bulk_elements_moved += nelems
-        by_member = dict(zip(group.members, slabs))
-        received = self._slab_exchange("x", lambda m: by_member[m], group)
-        return [by_member[m] if m == self.id else received[m]
-                for m in group.members]
-
-    def bulk_gather(self, payload, group: LocationGroup | None = None,
-                    nelems: int = 0) -> list:
-        rt = self.runtime
-        group = group or rt.world
-        self.stats.bulk_elements_moved += nelems
-        received = self._slab_exchange("g", lambda m: payload, group)
-        return [payload if m == self.id else received[m]
-                for m in group.members]
-
-    # -- collectives -------------------------------------------------------
-    def _gather_exchange(self, op: str, payload, group: LocationGroup) -> dict:
-        """One collective round: every member's payload lands on every
-        member (gather through the group's lowest-lid coordinator, scatter
-        of the complete set back).  Returns {lid: payload}."""
-        rt = self.runtime
-        seq = self._coll_seq.get(group.key, 0)
-        self._coll_seq[group.key] = seq + 1
-        self.stats.collectives += 1
-        self.clock += rt.machine.collective_cost(len(group))
-        if len(group) == 1:
-            return {self.id: payload}
-        key = (group.key, seq)
-        coord = group.members[0]
-        # collective payloads ride the slab transport too: members pack
-        # before sending, the coordinator scatters the *packed* refs
-        # untouched (the heavy bytes cross the wire once, straight from
-        # the packing member's segment to every consumer), and each
-        # member unpacks on receipt — zero-copy views under the same
-        # consume-before-your-next-fence contract as bulk_gather.
-        if self.id == coord:
-            box = rt._coll_gather.setdefault(key, {})
-            box[self.id] = (op, rt._pack(payload))
-            rt._service_until(
-                lambda: len(rt._coll_gather.get(key, ())) == len(group),
-                f"collective '{op}' on {group}")
-            box = rt._coll_gather.pop(key)
-            ops = {o for o, _ in box.values()}
-            if len(ops) != 1:
-                raise SpmdError(
-                    f"collective mismatch on {group}: {sorted(ops)} "
-                    "called concurrently")
-            arrived = {lid: p for lid, (o, p) in box.items()}
-            for member in group.members[1:]:
-                rt._put(member, ("collres", key, arrived))
-            return {lid: unpack_payload(p, rt.seg_cache)
-                    for lid, p in arrived.items()}
-        rt._put(coord, ("coll", key, op, self.id, rt._pack(payload)))
-        rt._service_until(lambda: key in rt._coll_results,
-                          f"collective '{op}' result on {group}")
-        return {lid: unpack_payload(p, rt.seg_cache)
-                for lid, p in rt._coll_results.pop(key).items()}
-
-    def _collective(self, op: str, payload, group: LocationGroup | None):
-        rt = self.runtime
-        group = group or rt.world
-        if self.id not in group:
-            raise SpmdError(f"location {self.id} not in {group}")
-        if rt._exec_depth:
-            raise SpmdError(
-                f"location {self.id}: collective '{op}' invoked inside an "
-                "RMI handler; handlers must not block")
-        members = group.members
-        if op == "fence":  # pragma: no cover - rmi_fence overrides
-            rt.fence(self, group)
-            return None
-        if op == "barrier":
-            self._gather_exchange("barrier", None, group)
-            return None
-        if op == "register":
-            # group-scoped handle: (group.key, seq) from a per-group
-            # sequence counter, so disjoint subgroups registering
-            # concurrently (e.g. sibling nested sections) cannot
-            # desynchronise each other's handle spaces
-            seq = rt._handle_seq.get(group.key, 0)
-            proposed = (group.key, seq)
-            # resolvable before the exchange: a peer that already finished
-            # this registration may send a request that overtakes the
-            # coordinator's result (different sender queues have no mutual
-            # order) and executes while this location still waits
-            rt.registry[proposed] = payload
-            arrived = self._gather_exchange("register", proposed, group)
-            if len(set(arrived.values())) != 1:
-                del rt.registry[proposed]
-                raise SpmdError(
-                    "p_object registration diverged across processes "
-                    f"(proposed handles {sorted(set(arrived.values()))}); "
-                    "the multiprocessing backend requires registrations "
-                    "in one collective program order per group")
-            rt._handle_seq[group.key] = seq + 1
-            return proposed
-        if op == "unregister":
-            arrived = self._gather_exchange("unregister", payload, group)
-            if len(set(arrived.values())) != 1:
-                raise SpmdError(
-                    f"unregister called with differing handles "
-                    f"{sorted(set(arrived.values()))}")
-            rt.registry.pop(payload, None)
-            return None
-        # value-bearing collectives: exchange raw values, apply the shared
-        # member-side math locally — reduction callables never cross a
-        # process boundary
-        if op == "allreduce":
-            value, op_fn = payload
-            arrived = self._gather_exchange(op, value, group)
-            arrived = {i: (v, op_fn) for i, v in arrived.items()}
-        elif op == "scan":
-            value, op_fn, exclusive = payload
-            arrived = self._gather_exchange(op, value, group)
-            arrived = {i: (v, op_fn, exclusive) for i, v in arrived.items()}
-        elif op == "broadcast":
-            root, value = payload
-            arrived = self._gather_exchange(
-                op, (root, value if self.id == root else None), group)
-        elif op in ("allgather", "alltoall"):
-            arrived = self._gather_exchange(op, payload, group)
-        else:
-            raise SpmdError(f"unknown collective {op!r}")
-        return collective_results(op, arrived, members)[self.id]
-
-    def rmi_fence(self, group: LocationGroup | None = None) -> None:
-        rt = self.runtime
-        group = group or rt.world
-        if self.id not in group:
-            raise SpmdError(f"location {self.id} not in {group}")
-        if rt._exec_depth:
-            raise SpmdError(
-                f"location {self.id}: collective 'fence' invoked inside an "
-                "RMI handler; handlers must not block")
-        self.stats.fences += 1
-        if len(group) < rt.nlocs:
-            self.stats.subgroup_fences += 1
-        self.flush_combining()
-        rt.fence(self, group)
-
-    def os_fence(self) -> None:
-        rt = self.runtime
-        self.flush_combining()
-        rt._service_until(lambda: rt.outstanding <= 0,
-                          "os_fence (one-sided quiescence of originated "
-                          "RMIs)")
-
-    # -- progress / task-graph hooks ---------------------------------------
-    def poll(self) -> int:
-        return self.runtime.drain_available()
-
+    # -- task-graph hook -----------------------------------------------------
     def task_yield(self, drain: bool = True) -> int:
         rt = self.runtime
         if rt._exec_depth:
@@ -1293,7 +1181,7 @@ def _worker_main(lid, nlocs, machine, placement, queues, result_q, fn, args,
     except Exception as exc:  # pragma: no cover - defensive
         result_q.put((lid, None, f"result delivery failed: {exc}",
                       rt.loc.stats, rt.loc.clock, wall))
-    # keep servicing peers (sync replies, collective gathers) until the
+    # keep servicing peers (sync requests, forwarded asyncs) until the
     # parent has collected every result: a location must not vanish while
     # stragglers still depend on it
     deadline = time.monotonic() + op_timeout

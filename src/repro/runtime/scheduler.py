@@ -146,82 +146,15 @@ class LocationGroup:
         return f"LocationGroup{self.members}"
 
 
-def collective_results(op: str, arrived: dict, members) -> dict:
-    """Member-side math of the value-bearing collectives, shared by both
-    execution backends: given every member's payload (``arrived`` maps lid
-    -> payload, in the per-op shape documented on the Location methods),
-    return the per-member results.  The simulated conductor calls this at
-    rendezvous completion; the multiprocessing backend calls it on every
-    member after its gather/scatter engine delivers the full payload set —
-    one implementation, so the real backend cannot drift from the oracle.
-
-    Handles ``allreduce`` / ``broadcast`` / ``allgather`` / ``alltoall`` /
-    ``scan``.  ``fence`` / ``barrier`` / ``register`` / ``unregister``
-    touch backend state and stay with their backend's engine.
-    """
-    members = tuple(members)
-    if op == "allreduce":
-        ordered = [arrived[i] for i in members]
-        op_fn = ordered[0][1]
-        acc = ordered[0][0]
-        for val, _ in ordered[1:]:
-            acc = (acc + val) if op_fn is None else op_fn(acc, val)
-        return {i: acc for i in members}
-    if op == "broadcast":
-        root, value = None, None
-        for i in members:
-            r, v = arrived[i]
-            if i == r:
-                root, value = r, v
-        if root is None:
-            raise SpmdError("broadcast: root did not participate")
-        return {i: value for i in members}
-    if op == "allgather":
-        gathered = [arrived[i] for i in members]
-        return {i: list(gathered) for i in members}
-    if op == "alltoall":
-        n = len(members)
-        for i in members:
-            if len(arrived[i]) != n:
-                raise SpmdError(
-                    f"alltoall: location {i} passed {len(arrived[i])} "
-                    f"values for a group of {n}")
-        results = {}
-        for idx, i in enumerate(members):
-            results[i] = [arrived[j][idx] for j in members]
-        return results
-    if op == "scan":
-        op_fn = arrived[members[0]][1]
-        exclusive = arrived[members[0]][2]
-        vals = [arrived[i][0] for i in members]
-        results = {}
-        acc = None
-        for idx, i in enumerate(members):
-            if exclusive:
-                results[i] = acc
-            if acc is None:
-                acc = vals[idx]
-            else:
-                acc = (acc + vals[idx]) if op_fn is None else op_fn(acc, vals[idx])
-            if not exclusive:
-                results[i] = acc
-        total = acc
-        return {i: (results[i], total) for i in members}
-    raise SpmdError(f"unknown collective {op!r}")
-
-
 class _Rendezvous:
-    """One in-flight collective operation over a group."""
+    """One in-flight exchange over a group: the payloads that arrived."""
 
-    __slots__ = ("key", "op", "members", "arrived", "finisher", "results")
+    __slots__ = ("op", "members", "arrived")
 
-    def __init__(self, key, op, members, finisher):
-        self.key = key
+    def __init__(self, op, members):
         self.op = op
         self.members = members
         self.arrived: dict[int, object] = {}
-        self.finisher = finisher
-        self.results: dict[int, object] = {}
 
     def complete(self) -> bool:
         return len(self.arrived) == len(self.members)
@@ -242,9 +175,11 @@ class Location:
         self.state = _READY
         self._resume = threading.Event()
         self._waiting_on: _Rendezvous | None = None
-        self._coll_payload = None
-        self._coll_result = None
+        #: per-group counts of exchanges entered / p_objects registered:
+        #: collectives run in one program order per group, so equal counts
+        #: name the same exchange (registration) on every member
         self._coll_seq: dict[tuple, int] = {}
+        self._handle_seq: dict[tuple, int] = {}
         self._thread: threading.Thread | None = None
         #: per-destination combining buffers of (handle, method, args)
         #: records — one buffer per channel, like ARMI's aggregation
@@ -665,7 +600,6 @@ class Location:
         self.stats.fences += 1
         if group is not None and len(group) < self.runtime.nlocs:
             self.stats.subgroup_fences += 1
-        self.flush_combining(coalesce=True)
         self._collective("fence", None, group)
 
     def barrier(self, group: LocationGroup | None = None) -> None:
@@ -674,7 +608,9 @@ class Location:
 
     def allreduce_rmi(self, value, op: Callable = None,
                       group: LocationGroup | None = None):
-        """Reduce ``value`` across the group; every member gets the result."""
+        """Reduce ``value`` across the group; every member gets the result.
+        ``op`` runs on every member, over the values in group order, and
+        must not modify its arguments."""
         return self._collective("allreduce", (value, op), group)
 
     def reduce_rmi(self, value, op: Callable = None, root: int = 0,
@@ -704,8 +640,7 @@ class Location:
     def os_fence(self) -> None:
         """One-sided fence: completes all RMIs *originated* by this location
         (including forwarded continuations) without a collective."""
-        self.flush_combining(coalesce=True)
-        self.runtime.drain_origin(self.id)
+        self.runtime.os_fence(self)
 
     # -- registration ------------------------------------------------------
     def collective_register(self, obj, group: LocationGroup | None = None) -> int:
@@ -719,59 +654,97 @@ class Location:
 
     # -- internals -------------------------------------------------------
     def _collective(self, op: str, payload, group: LocationGroup | None):
+        """The collective protocol, written once for every backend over the
+        runtime's two primitives: ``fence(loc, group)`` and
+        ``exchange(loc, op, payload, group, personalised) -> {lid: payload}``
+        (every member's payload on every member; personalised, the piece of
+        every member's sequence at this member's rank).  Each member folds
+        its own result from the raw payloads, so reduction callables never
+        reach a backend's wire."""
         rt = self.runtime
         group = group or rt.world
-        if self.id not in group:
-            raise SpmdError(f"location {self.id} not in {group}")
-        if len(group) == 1:
-            # singleton groups (nested parallelism on one location) complete
-            # inline: no rendezvous, no context switch
-            return self._singleton_collective(op, payload)
-        if rt._exec_depth:
+        me = self.id
+        if me not in group:
+            raise SpmdError(f"location {me} not in {group}")
+        if len(group) > 1 and rt._exec_depth:
+            # a singleton group (nested parallelism on one location)
+            # completes inline on every backend; anything wider blocks
             raise SpmdError(
-                f"location {self.id}: collective '{op}' invoked inside an RMI "
+                f"location {me}: collective '{op}' invoked inside an RMI "
                 "handler; handlers must not block")
-        seq = self._coll_seq.get(group.key, 0)
-        self._coll_seq[group.key] = seq + 1
-        key = (group.key, seq)
-        rv = rt._pending_rv.get(key)
-        if rv is None:
-            rv = _Rendezvous(key, op, group.members, op)
-            rt._pending_rv[key] = rv
-        elif rv.op != op:
-            raise SpmdError(
-                f"collective mismatch on {group}: location {self.id} called "
-                f"'{op}' but another member called '{rv.op}'")
-        rv.arrived[self.id] = payload
-        self._waiting_on = rv
-        self.state = _WAITING
         self.stats.collectives += 1
-        rt._yield_to_conductor(self)
-        self._waiting_on = None
-        out = self._coll_result
-        self._coll_result = None
-        return out
-
-    def _singleton_collective(self, op: str, payload):
-        rt = self.runtime
-        self.stats.collectives += 1
-        self.clock += rt.machine.coll_beta
+        members = group.members
         if op == "fence":
-            rt.flush_channel(self.id, self.id)
-            return None
-        if op == "barrier":
-            return None
-        if op == "register":
-            handle = rt._next_handle
-            rt._next_handle += 1
-            slot = [None] * rt.nlocs
-            slot[self.id] = payload
-            rt.registry[handle] = slot
+            rt.fence(self, group)
+        elif op == "barrier":
+            rt.exchange(self, op, None, group, False)
+        elif op == "register":
+            seq = self._handle_seq.get(group.key, 0)
+            handle = rt.registration_handle(group, seq)
+            # resolvable before the exchange: a peer that already finished
+            # this registration may send a request that executes while this
+            # location still waits in it
+            rt.registry.setdefault(handle, {})[me] = payload
+            proposed = set(
+                rt.exchange(self, op, handle, group, False).values())
+            if len(proposed) != 1:
+                del rt.registry[handle][me]
+                raise SpmdError(
+                    "p_object registration diverged across locations "
+                    f"(proposed handles {sorted(proposed, key=repr)}); "
+                    "registrations must run in one collective program "
+                    "order per group")
+            self._handle_seq[group.key] = seq + 1
             return handle
-        if op == "unregister":
+        elif op == "unregister":
+            handles = set(
+                rt.exchange(self, op, payload, group, False).values())
+            if len(handles) != 1:
+                raise SpmdError(
+                    "unregister called with differing handles "
+                    f"{sorted(handles, key=repr)}")
             rt.registry.pop(payload, None)
-            return None
-        return collective_results(op, {self.id: payload}, (self.id,))[self.id]
+        elif op == "allreduce":
+            value, op_fn = payload
+            arrived = rt.exchange(self, op, value, group, False)
+            acc = arrived[members[0]]
+            for i in members[1:]:
+                acc = _combine(op_fn, acc, arrived[i])
+            return acc
+        elif op == "scan":
+            value, op_fn, exclusive = payload
+            arrived = rt.exchange(self, op, value, group, False)
+            acc = prefix = None
+            for i in members:
+                if exclusive and i == me:
+                    prefix = acc
+                acc = arrived[i] if acc is None else \
+                    _combine(op_fn, acc, arrived[i])
+                if not exclusive and i == me:
+                    prefix = acc
+            return prefix, acc
+        elif op == "broadcast":
+            root, value = payload
+            if root not in group:
+                raise SpmdError("broadcast: root did not participate")
+            return rt.exchange(self, op, value if me == root else None,
+                               group, False)[root]
+        elif op == "allgather":
+            arrived = rt.exchange(self, op, payload, group, False)
+            return [arrived[i] for i in members]
+        elif op == "alltoall":
+            if len(payload) != len(members):
+                raise SpmdError(
+                    f"alltoall: location {me} passed {len(payload)} "
+                    f"values for a group of {len(members)}")
+            arrived = rt.exchange(self, op, payload, group, True)
+            return [arrived[i] for i in members]
+        else:
+            raise SpmdError(f"unknown collective {op!r}")
+
+
+def _combine(op_fn, a, b):
+    return (a + b) if op_fn is None else op_fn(a, b)
 
 
 class Runtime:
@@ -788,8 +761,9 @@ class Runtime:
         self.locations = [Location(self, i) for i in range(nlocs)]
         self.world = LocationGroup(range(nlocs))
         self.network = Network(nlocs, self.machine.aggregation)
-        self.registry: dict[int, list] = {}
-        self._next_handle = 0
+        #: handle -> {lid: representative}
+        self.registry: dict[int, dict] = {}
+        self._handles: dict[tuple, int] = {}
         self._pending_rv: dict = {}
         self._conductor_evt = threading.Event()
         self._abort = False
@@ -814,16 +788,22 @@ class Runtime:
         return self.current_location.id
 
     # -- registry --------------------------------------------------------
+    def registration_handle(self, group: LocationGroup, seq: int) -> int:
+        """RMI handle of ``group``'s ``seq``-th registration: the next
+        int, drawn by whichever member proposes first."""
+        return self._handles.setdefault((group.key, seq), len(self._handles))
+
     def lookup(self, handle: int, lid: int):
         try:
-            obj = self.registry[handle][lid]
+            reps = self.registry[handle]
         except KeyError:
             raise SpmdError(f"unknown p_object handle {handle}") from None
-        if obj is None:
+        try:
+            return reps[lid]
+        except KeyError:
             raise SpmdError(
                 f"p_object handle {handle} has no representative on "
-                f"location {lid}")
-        return obj
+                f"location {lid}") from None
 
     # -- message execution ----------------------------------------------
     def _run_handler(self, dst_loc: Location, handle: int, method: str,
@@ -915,22 +895,19 @@ class Runtime:
                     self.execute_message(msg)
                     total += 1
 
-    def drain_origin(self, origin: int) -> int:
-        """Execute every buffered message whose originating location is
-        ``origin`` (transitively, through forwarding)."""
-        total = 0
+    def os_fence(self, loc: Location) -> None:
+        """One-sided fence of ``loc``: execute every buffered message it
+        originated (transitively, through forwarding)."""
+        loc.flush_combining(coalesce=True)
         progress = True
         while progress:
             progress = False
             for src in range(self.nlocs):
                 for dst in range(self.nlocs):
                     chan = self.network.channel(src, dst)
-                    while chan and chan[0].origin == origin:
-                        msg = self.network.pop(src, dst)
-                        self.execute_message(msg)
-                        total += 1
+                    while chan and chan[0].origin == loc.id:
+                        self.execute_message(self.network.pop(src, dst))
                         progress = True
-        return total
 
     # -- conductor ---------------------------------------------------------
     def run(self, fn: Callable, args: tuple = ()) -> list:
@@ -1033,11 +1010,51 @@ class Runtime:
             self._abort = True
             raise
 
-    # -- rendezvous finishers ----------------------------------------------
+    # -- the two collective primitives --------------------------------------
+    def exchange(self, loc: Location, op: str, payload, group: LocationGroup,
+                 personalised: bool) -> dict:
+        """Every member's ``payload`` lands on every member: returns
+        ``{lid: payload}``, or — ``personalised`` — the piece of each
+        member's per-rank sequence bound for ``loc``.  A rendezvous through
+        the conductor, which synchronises the members' clocks; a singleton
+        group completes inline, with no context switch."""
+        if len(group) == 1:
+            loc.clock += self.machine.coll_beta
+            arrived = {loc.id: payload}
+        else:
+            seq = loc._coll_seq.get(group.key, 0)
+            loc._coll_seq[group.key] = seq + 1
+            key = (group.key, seq)
+            rv = self._pending_rv.get(key)
+            if rv is None:
+                rv = self._pending_rv[key] = _Rendezvous(op, group.members)
+            elif rv.op != op:
+                raise SpmdError(
+                    f"collective mismatch on {group}: location {loc.id} "
+                    f"called '{op}' but another member called '{rv.op}'")
+            rv.arrived[loc.id] = payload
+            loc._waiting_on = rv
+            loc.state = _WAITING
+            self._yield_to_conductor(loc)
+            loc._waiting_on = None
+            arrived = rv.arrived
+        if personalised:
+            rank = group.index_of(loc.id)
+            return {lid: pieces[rank] for lid, pieces in arrived.items()}
+        return arrived
+
+    def fence(self, loc: Location, group: LocationGroup) -> None:
+        """Quiesce traffic among ``group``: flush ``loc``'s combining
+        buffers (node-coalesced: the drain below follows immediately), then
+        rendezvous; the conductor drains the members' channels."""
+        loc.flush_combining(coalesce=True)
+        self.exchange(loc, "fence", None, group, False)
+        if len(group) == 1:
+            self.flush_channel(loc.id, loc.id)
+
     def _finish_rendezvous(self, rv: _Rendezvous) -> None:
         members = [self.locations[i] for i in rv.members]
-        op = rv.op
-        if op == "fence":
+        if rv.op == "fence":
             self.drain_among(rv.members)
         t = max(loc.clock for loc in members)
         # mixed-mode collectives: intra-node tree to a node leader, then an
@@ -1047,26 +1064,6 @@ class Runtime:
             rv.members, self.nlocs, self.placement)
         for loc in members:
             loc.clock = t
-        if op in ("fence", "barrier"):
-            results = {i: None for i in rv.members}
-        elif op == "register":
-            handle = self._next_handle
-            self._next_handle += 1
-            slot = [None] * self.nlocs
-            for lid, obj in rv.arrived.items():
-                slot[lid] = obj
-            self.registry[handle] = slot
-            results = {i: handle for i in rv.members}
-        elif op == "unregister":
-            handles = set(rv.arrived.values())
-            if len(handles) != 1:
-                raise SpmdError(f"unregister called with differing handles {handles}")
-            self.registry.pop(handles.pop(), None)
-            results = {i: None for i in rv.members}
-        else:
-            results = collective_results(op, rv.arrived, rv.members)
-        for loc in members:
-            loc._coll_result = results[loc.id]
             loc.state = _READY
 
     # -- backend capability/progress hooks -----------------------------------

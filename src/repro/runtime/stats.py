@@ -9,7 +9,9 @@ many elements it carries; ``bulk_elements_moved`` counts the elements.
 ``combined_ops`` counts asynchronous op records appended to the combining
 buffers; ``combining_flushes`` counts the physical messages that carried
 them (one per buffer flush; a node-coalesced flush carrying several
-buffers counts once).
+buffers counts once).  ``collectives`` counts collective operations
+entered, ``fences`` the subset that were fences: one per call on every
+backend — the counting rounds inside a real-process fence are not counted.
 
 Mixed-mode (node-topology-aware) counter: ``coalesced_messages`` counts
 inter-node messages that carried payloads for several locations on the

@@ -12,6 +12,8 @@ agree bit-for-bit on all six container families and every algorithm
 driver.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from repro.containers import (
     PSet,
     PVector,
 )
+from repro.runtime import LocationGroup, PObject, SpmdError, spmd_run_detailed
 from repro.views import Array1DView
 
 SWEEP = pytest.mark.parametrize("nlocs", [1, 2, 4])
@@ -90,7 +93,10 @@ def _assoc_prog(ctx):
         pm.accumulate(f"key{k % 6}", k + ctx.id)
         ps.insert((k * 5) % 9)
     ctx.rmi_fence()
-    items = pm.sorted_items()
+    # a hash map's within-bContainer order is insertion order, i.e. the
+    # cross-sender arrival order on real processes: compare it order-free;
+    # the set is a sorted_order container, its exact order is the contract
+    items = sorted(pm.sorted_items())
     members = ps.sorted_items()
     ctx.rmi_fence()
     return items, members
@@ -197,7 +203,7 @@ def _sssp_prog(ctx):
 def _wordcount_prog(ctx):
     docs = [f"alpha w{(ctx.id * 3 + k) % 5} beta" for k in range(5)]
     out = word_count(ctx, docs)
-    counts = out.sorted_items()
+    counts = sorted(out.sorted_items())  # hash map: order-free, see above
     ctx.rmi_fence()
     return counts
 
@@ -206,7 +212,7 @@ def _map_reduce_prog(ctx):
     items = range(ctx.id * 8, ctx.id * 8 + 8)
     out = map_reduce(ctx, items,
                      lambda x: [("even" if x % 2 == 0 else "odd", 1)])
-    counts = out.sorted_items()
+    counts = sorted(out.sorted_items())  # hash map: order-free, see above
     ctx.rmi_fence()
     return counts
 
@@ -252,3 +258,93 @@ def _pipeline_prog(ctx):
 @SWEEP
 def test_sort_scan_diff_pipeline_identical(run_differential, nlocs):
     run_differential(_pipeline_prog, nlocs)
+
+
+# ---------------------------------------------------------------------------
+# The collective protocol is written once (Location._collective): what it
+# allows, counts and ships is the same on both backends
+# ---------------------------------------------------------------------------
+
+
+class _Nested(PObject):
+    """Runs collectives from inside its RMI handlers."""
+
+    def solo(self):
+        """A singleton group completes inline, so it may nest in a handler
+        — including the registration of a p_object on it."""
+        here = self.here
+        g = LocationGroup([here.id])
+        inner = _Nested(here, group=g)
+        out = (here.allreduce_rmi(5, group=g),
+               here.allgather_rmi(here.id, group=g),
+               inner.get_num_locations())
+        inner.destroy()
+        return out
+
+    def wide(self):
+        try:
+            self.here.allreduce_rmi(1)
+        except SpmdError as exc:
+            return "handlers must not block" in str(exc)
+        return False
+
+
+def _collective_in_handler_prog(ctx):
+    obj = _Nested(ctx)
+    ctx.rmi_fence()
+    peer = (ctx.id + 1) % ctx.nlocs
+    out = (ctx.sync_rmi(peer, obj.handle, "solo"),
+           ctx.sync_rmi(peer, obj.handle, "wide"))
+    ctx.rmi_fence()
+    return out
+
+
+@pytest.mark.parametrize("nlocs", [2, 4])
+def test_singleton_collective_in_handler_identical(run_differential, nlocs):
+    out = run_differential(_collective_in_handler_prog, nlocs)
+    assert out == [((5, [(lid + 1) % nlocs], 1), True)
+                   for lid in range(nlocs)]
+
+
+def _collectives_only_prog(ctx):
+    total = ctx.allreduce_rmi(ctx.id)
+    ctx.rmi_fence()
+    return (total, ctx.allgather_rmi(ctx.id),
+            ctx.alltoall_rmi([ctx.id * 10 + d for d in range(ctx.nlocs)]))
+
+
+def test_collective_and_fence_counts_identical():
+    """A fence is one collective however many counting rounds the real
+    backend's protocol takes to certify quiescence."""
+    sim = spmd_run_detailed(_collectives_only_prog, nlocs=4)
+    real = spmd_run_detailed(_collectives_only_prog, nlocs=4,
+                             backend="multiprocessing", timeout=120.0)
+    assert sim.results == real.results
+    for rep in (sim, real):
+        assert rep.stats.total.collectives == 4 * 4
+        assert rep.stats.total.fences == 4
+
+
+_SLAB = 1 << 17  # int64 elements: 1 MiB
+
+
+def _personalised_alltoall_prog(ctx):
+    slabs = [np.full(_SLAB, ctx.id * 10 + d, dtype=np.int64)
+             for d in range(ctx.nlocs)]
+    before = ctx.stats.shm_segments_created, ctx.stats.zero_copy_slab_views
+    got = ctx.alltoall_rmi(slabs)
+    if not ctx.runtime.shared_address_space:
+        # one segment packed per *other* member, one mapped per sender:
+        # nobody packs or maps a slab bound for somebody else
+        assert ctx.stats.shm_segments_created - before[0] == ctx.nlocs - 1
+        assert ctx.stats.zero_copy_slab_views - before[1] == ctx.nlocs - 1
+    out = [(a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+           for a in got]
+    ctx.rmi_fence()
+    return out
+
+
+def test_alltoall_is_personalised(run_differential):
+    out = run_differential(_personalised_alltoall_prog, 4)
+    want = hashlib.sha256(np.full(_SLAB, 21, dtype=np.int64).tobytes())
+    assert out[1][2] == ("<i8", (_SLAB,), want.hexdigest())

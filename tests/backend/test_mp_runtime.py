@@ -20,7 +20,7 @@ from repro.runtime import (
     spmd_run_detailed,
 )
 from repro.runtime.mp import (
-    MpLocation,
+    MpRuntime,
     ShmArena,
     pack_payload,
     unpack_payload,
@@ -113,19 +113,20 @@ class TestCollectives:
 class TestRegistration:
     def test_handle_resolves_before_the_exchange_starts(self):
         """A peer that already finished a registration may send a request
-        that overtakes the coordinator's result, so the proposed handle
-        must resolve while this location is still inside the exchange."""
+        that executes while this location still waits in the exchange
+        (different sender queues have no mutual order), so the proposed
+        handle must resolve before the exchange starts."""
 
         def prog(ctx):
             seen = []
-            real = MpLocation._gather_exchange
+            real = MpRuntime.exchange
 
-            def spy(self, op, payload, group):
+            def spy(self, loc, op, payload, group, personalised):
                 if op == "register":
-                    seen.append(self.runtime.lookup(payload, self.id))
-                return real(self, op, payload, group)
+                    seen.append(self.lookup(payload, loc.id))
+                return real(self, loc, op, payload, group, personalised)
 
-            MpLocation._gather_exchange = spy  # this worker process only
+            MpRuntime.exchange = spy  # this worker process only
             c = Cell(ctx)
             return seen == [c]
 
