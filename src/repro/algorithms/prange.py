@@ -259,7 +259,7 @@ class Paragraph(PObject):
         per-location work parallel in the cost model."""
         rt = self._runtime
         n = 0
-        while not self._ready and rt.drain_one(loc.id):
+        while not self._ready and rt.progress(loc, one=True):
             n += 1
         return n
 

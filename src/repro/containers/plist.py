@@ -151,7 +151,7 @@ class PList(PContainerDynamic):
         if dest == loc.id:
             # the end segment is local: no round trip (mirrors push_back's
             # fast path).  Source FIFO: pending self-sends execute first.
-            self.runtime.flush_channel(loc.id, loc.id)
+            self.runtime.progress(loc, src=loc.id)
             loc.stats.local_invocations += 1
             return self._remote_pop(bcid, back)
         loc.stats.remote_invocations += 1

@@ -1,15 +1,16 @@
-"""Simulated STAPL runtime system (ARMI + scheduler + machine models).
+"""The STAPL runtime system (ARMI + scheduler + machine models).
 
 Public surface mirrors Ch. III.B of the paper: locations, RMI primitives
 (async / sync / split-phase), fences, collectives, communication groups and
-p_objects — all running on a deterministic virtual-time machine simulator.
+p_objects — :class:`Location` written once over :class:`BackendRuntime`'s
+primitives, which the deterministic virtual-time simulator (:class:`Runtime`)
+and real processes (:mod:`repro.runtime.mp`) each implement.
 """
 
 from .comm import (
     COMBINING_WINDOW,
     Message,
     Network,
-    TransportBackend,
     estimate_size,
 )
 from .config import RuntimeConfig
@@ -17,6 +18,7 @@ from .future import Future, pc_future
 from .machine import CRAY4, CRAY5, MACHINES, P5_CLUSTER, SMP, MachineModel, get_machine
 from .p_object import PObject
 from .scheduler import (
+    BackendRuntime,
     Location,
     LocationGroup,
     Runtime,
@@ -28,6 +30,7 @@ from .scheduler import (
 from .stats import LocationStats, RunStats
 
 __all__ = [
+    "BackendRuntime",
     "COMBINING_WINDOW",
     "CRAY4",
     "CRAY5",
@@ -47,7 +50,6 @@ __all__ = [
     "SMP",
     "SpmdError",
     "SpmdReport",
-    "TransportBackend",
     "estimate_size",
     "get_machine",
     "pc_future",

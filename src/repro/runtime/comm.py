@@ -32,7 +32,6 @@ evaluation can assert batched == scalar results head-to-head.
 
 from __future__ import annotations
 
-import abc
 from itertools import islice
 from collections import deque
 
@@ -44,60 +43,6 @@ _DEFAULT_SIZE = 64
 #: op records a combining buffer holds before it flushes as one physical
 #: message
 COMBINING_WINDOW = 1024
-
-
-# ---------------------------------------------------------------------------
-# Execution backends
-#
-# The transport is pluggable.  Everything above the narrow waist (containers,
-# views, algorithms, the PARAGRAPH executor) talks to a ``Location`` whose
-# sends funnel into a :class:`TransportBackend`; the simulated ``Network``
-# below is the default backend and the correctness *oracle*, and
-# :mod:`repro.runtime.mp` provides a real ``multiprocessing`` backend where
-# each location is an OS process, scalar RMIs travel over per-destination
-# queues and bulk slabs move through ``multiprocessing.shared_memory``
-# segments.  ``spmd_run(..., backend=)`` selects which runtime a run builds;
-# the differential test layer (``tests/backend/``) asserts byte-identical
-# results between the two.
-# ---------------------------------------------------------------------------
-
-
-class TransportBackend(abc.ABC):
-    """The narrow waist between the runtime and a message transport.
-
-    A backend owns delivery of :class:`Message` records between locations.
-    The contract the rest of the runtime relies on:
-
-    * :meth:`enqueue` accepts one outgoing message and returns True when a
-      new *physical* message was started (the sender is charged the fixed
-      message overhead exactly then);
-    * per (src, dst) channel FIFO: two messages from one source to one
-      destination are executed in enqueue order (Ch. III.B source FIFO);
-    * ``total_pending`` counts buffered-but-unexecuted messages (0 for an
-      eager transport that hands messages to the destination immediately).
-
-    Collectives and fences are *protocols over* the transport, not
-    primitives of it: ``Location._collective`` is written once over two
-    runtime primitives, ``exchange`` and ``fence``.  The simulated runtime
-    implements them as a rendezvous through the conductor
-    (:meth:`~.scheduler.Runtime.exchange`), the multiprocessing runtime as
-    eager point-to-point sends into a parked inbox plus a counting fence
-    (:meth:`~.mp.MpRuntime.exchange`).
-    """
-
-    #: whether representatives on other locations share this address space
-    #: (True only for the in-process simulator; containers consult it
-    #: before taking cross-representative shortcuts such as pVector's
-    #: shared partition metadata)
-    shared_address_space: bool = False
-
-    @abc.abstractmethod
-    def enqueue(self, msg: "Message") -> bool:
-        """Accept one outgoing message; True if a new physical message
-        started."""
-
-    #: buffered-but-unexecuted message count (eager transports keep it 0)
-    total_pending: int = 0
 
 
 def estimate_size(obj, _depth: int = 0) -> int:
@@ -170,10 +115,11 @@ class Message:
                 f"{self.method} size={self.size})")
 
 
-class Network(TransportBackend):
-    """Simulated backend: all (src, dst) FIFO channels plus aggregation
-    bookkeeping, buffered in one address space and drained by the
-    progress engines of :class:`~.scheduler.Runtime`.
+class Network:
+    """The simulator's transport: all (src, dst) FIFO channels plus
+    aggregation bookkeeping, buffered in one address space and drained by
+    the progress engines of :class:`~.scheduler.Runtime`, whose ``post``
+    primitive is :meth:`enqueue`.
 
     Fence polling calls :meth:`pending_to` / :meth:`pending_among` on every
     progress step, so those queries must not rescan all P^2 potential
@@ -185,8 +131,6 @@ class Network(TransportBackend):
     creation sequence number so ``pending_among`` still enumerates channels
     in exactly the order the un-indexed scan did (drain order is part of the
     deterministic simulation)."""
-
-    shared_address_space = True
 
     def __init__(self, nlocs: int, aggregation: int):
         self.nlocs = nlocs

@@ -1,9 +1,10 @@
 """Split-phase futures (the paper's ``pc_future``, Ch. V.B / VII.B).
 
 A split-phase method returns immediately with a :class:`Future`.  Invoking
-``get()`` returns the value if it is available or *forces progress* on the
-(src, dst) channel until the request has executed — which is the simulated
-equivalent of blocking until the result arrives.  Per the completion
+``get()`` returns the value if it is available or blocks in the runtime's
+``wait`` until the request has executed — the simulator *forces progress* on
+the (src, dst) channel, real processes service traffic until the reply
+arrives.  Per the completion
 guarantees, the acknowledgment is also received at a fence or when a
 subsequent sync method on the same element completes.
 """
@@ -43,7 +44,7 @@ class Future:
         """
         rt = self._runtime
         if not self.ready:
-            rt.flush_channel(self._src, self._dst, until_future=self)
+            rt.wait(self)
         if not self.ready:  # pragma: no cover - defensive
             raise RuntimeError("split-phase request lost: future never resolved")
         loc = rt.current_location

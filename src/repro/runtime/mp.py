@@ -8,20 +8,19 @@ process, scalar RMIs travel over per-destination ``multiprocessing`` queues,
 and bulk slabs move through ``multiprocessing.shared_memory`` segments so
 their payload bytes never pass through a pipe or the pickler.
 
-Design (BCL-style: a handful of transport primitives behind a stable
-runtime API):
+Design (BCL-style: a handful of backend primitives behind a stable runtime
+API):
 
-* :class:`MpLocation` subclasses the simulated :class:`Location`, so the
-  aggregation/combining bookkeeping, virtual-clock charging and the whole
-  container-facing API are inherited verbatim.  For point-to-point traffic
-  it re-implements exactly two things: *deliver one request*
-  (:meth:`MpTransport.enqueue`, the narrow waist of
-  :class:`~repro.runtime.comm.TransportBackend`, which every inherited
-  send — asyncs, split-phase requests, combining-buffer flushes, bulk slab
-  pushes — funnels into) and *wait for one reply*
-  (:meth:`MpLocation._round_trip`, a token exchange).
-* The collective protocol is inherited too — ``Location._collective`` is
-  written once — over the two primitives :class:`MpRuntime` implements:
+* There is one :class:`Location` class: its aggregation/combining
+  bookkeeping, virtual-clock charging, traffic counters and the whole
+  container-facing API are written once over the primitives
+  :class:`~repro.runtime.scheduler.BackendRuntime` declares, and
+  :class:`MpRuntime` implements those for a process hosting one location:
+  *deliver one request* (:meth:`MpRuntime.post`, which every send — asyncs,
+  split-phase requests, combining-buffer flushes, bulk slab pushes — funnels
+  into), *wait for one reply* (:meth:`MpRuntime.round_trip`, a token
+  exchange), *execute what has arrived* (:meth:`MpRuntime.progress`).
+* The collective protocol — ``Location._collective`` — runs over
   :meth:`MpRuntime.exchange` (eager point-to-point sends into a parked
   inbox, no coordinator; payloads ride the slab transport and reduction
   operators never cross a process boundary, every member folds its own
@@ -69,11 +68,16 @@ from collections import deque
 
 import numpy as np
 
-from .comm import Message, TransportBackend, estimate_size
+from .comm import Message, estimate_size
 from .config import RuntimeConfig
 from .future import Future
-from .machine import get_machine
-from .scheduler import Location, LocationGroup, SpmdError, SpmdReport
+from .scheduler import (
+    BackendRuntime,
+    Location,
+    LocationGroup,
+    SpmdError,
+    SpmdReport,
+)
 from .stats import RunStats
 
 #: default per-blocking-operation deadline (seconds); a stuck fence,
@@ -455,8 +459,9 @@ def _unpack_tree(obj, cache: SegmentCache | None, _depth: int = 0):
 # * a captured runtime/location resolves to the *receiver's* runtime: every
 #   closure written against the simulator uses ``rt.current_location`` /
 #   ``rt.lookup(handle, ...)`` idioms, and the only correct meaning on
-#   another process is that process's own runtime.  MpRuntime/MpLocation
-#   reduce to per-process sentinels.
+#   another process is that process's own runtime.  The wire pickler —
+#   the one place this is decided — reduces any runtime or location to a
+#   per-process sentinel.
 #
 # Messages are serialized *at the send site*, not by the queue's feeder
 # thread: an unserializable payload raises in the sender's stack with a
@@ -482,14 +487,6 @@ def _resolve_runtime() -> "MpRuntime":
     if _CURRENT_RUNTIME is None:
         raise SpmdError("no multiprocessing runtime active in this process")
     return _CURRENT_RUNTIME
-
-
-def _resolve_location() -> "MpLocation":
-    return _resolve_runtime().loc
-
-
-def _resolve_transport() -> "MpTransport":
-    return _resolve_runtime().network
 
 
 def _rebuild_fn(code_bytes: bytes, modname: str, qualname: str, nfree: int):
@@ -544,6 +541,12 @@ class _WirePickler(pickle.Pickler):
                     (obj.__defaults__, obj.__kwdefaults__,
                      cellvals if closure else None),
                     None, None, _set_fn_state)
+        # a captured runtime means "that of whatever process executes
+        # this", a captured location that runtime's own
+        if isinstance(obj, (BackendRuntime, Location)):
+            if isinstance(obj, Location):
+                return (getattr, (obj.runtime, "loc"))
+            return (_resolve_runtime, ())
         return NotImplemented
 
 
@@ -621,54 +624,6 @@ def unpack_payload(packed: bytes, cache: SegmentCache | None = None):
     return pickle.loads(packed)
 
 
-class MpTransport(TransportBackend):
-    """Eager queue transport: enqueue hands the message to the destination
-    process immediately; there is no buffered channel to drain."""
-
-    shared_address_space = False
-    total_pending = 0  # sends are eager; nothing buffers sender-side
-
-    def __init__(self, rt: "MpRuntime"):
-        self.rt = rt
-
-    def __reduce__(self):
-        return (_resolve_transport, ())
-
-    def enqueue(self, msg: Message) -> bool:
-        rt = self.rt
-        # serialize and post first, count after: a payload that fails to
-        # serialize raises here, in the caller's stack, before any fence
-        # counter, token or credit has moved.  (Nothing can run in
-        # between: this process services incoming traffic only from its
-        # own blocking waits.)
-        packed = rt._pack(msg.args, msg.dst)
-        if msg.future is not None:
-            # token request: the reply resolves the future and carries the
-            # count of same-origin requests the handler spawned
-            token = rt._next_token + 1
-            rt._put(msg.dst, ("sync", msg.src, token, msg.handle, msg.method,
-                              packed))
-            rt._next_token = token
-            rt._futures[token] = msg.future
-            if not rt._spawn_frames:
-                # top-level request: os_fence must wait for it, so count
-                # it outstanding until its reply (credit -1) arrives
-                rt.outstanding += 1
-                rt._reply_credit[token] = -1
-        else:
-            rt._put(msg.dst, ("req", msg.src, msg.origin, msg.handle,
-                              msg.method, packed))
-            if rt._spawn_frames:
-                # handler-spawned (forwarded) request: accounted by the
-                # ack credit this handler sends to the message's origin
-                rt._spawn_frames[-1] += 1
-            elif msg.origin == rt.lid:
-                rt.outstanding += 1
-        rt.req_sent += 1
-        rt.sent_to[msg.dst] += 1
-        return True
-
-
 class _SelfPayload:
     """Packed form of a self-send: the walked tree itself.  A self-send is
     never pickled — closures and object identity arrive by reference
@@ -682,40 +637,25 @@ class _SelfPayload:
         self.tree = tree
 
 
-class MpRuntime:
-    """Per-process runtime: one local location, queues to every peer.
-
-    Duck-typed against the simulated :class:`~repro.runtime.scheduler.
-    Runtime` surface that containers and algorithms actually touch
-    (``current_location``/``current_origin``/``lookup``/``machine``/
-    ``world``/progress hooks); representative lookup is local-only —
-    there is no shared address space to reach across.
+class MpRuntime(BackendRuntime):
+    """The multiprocessing backend, one per process: one local location,
+    a queue to every peer, a shared-memory arena for slabs.  Representative
+    lookup is local-only — there is no shared address space to reach
+    across.
     """
-
-    shared_address_space = False
 
     def __init__(self, lid: int, nlocs: int, machine, placement: str,
                  queues, run_id: str, config: RuntimeConfig,
                  op_timeout: float = _OP_TIMEOUT):
+        super().__init__(nlocs, machine, placement, config)
         self.lid = lid
-        self.nlocs = nlocs
-        self.config = config
-        self.machine = get_machine(machine)
-        self.placement = placement
-        self.world = LocationGroup(range(nlocs))
-        self.network = MpTransport(self)
         self.op_timeout = op_timeout
-        self.yield_timeout = _YIELD_TIMEOUT
         self.run_id = run_id
         self._queues = queues
         self._selfq: deque = deque()
-        self.loc = MpLocation(self, lid)
+        self.loc = self._running = Location(self, lid)
         self.arena = ShmArena(self._new_shm_name, stats=self.loc.stats)
         self.seg_cache = SegmentCache(stats=self.loc.stats)
-        #: handle -> {lid: representative}, this location's only
-        self.registry: dict[tuple, dict] = {}
-        self._exec_stack: list = []
-        self._exec_depth = 0
         # transport state: totals plus per-peer splits — a fence over a
         # subgroup must count only traffic among its members, or a
         # member's sends to outside locations (whose executions the group
@@ -732,43 +672,25 @@ class MpRuntime:
         self._shm_count = 0
         #: parked exchange payloads: (group.key, seq) -> {src: (op, packed)}
         self._slab_inbox: dict = {}
+        #: bulk rounds opened per (tag, group.key): the arena channel's seq
+        self._bulk_seq: dict = {}
         self._stopped = False
 
-    def __reduce__(self):
-        # a runtime reference captured in a shipped closure means "the
-        # runtime of whatever process executes this"
-        return (_resolve_runtime, ())
-
-    # -- identity / registry ---------------------------------------------
-    @property
-    def current_location(self) -> "MpLocation":
-        if self._exec_stack:
-            return self._exec_stack[-1][0]
-        return self.loc
-
-    @property
-    def current_origin(self) -> int:
-        if self._exec_stack:
-            return self._exec_stack[-1][1]
-        return self.lid
-
-    def registration_handle(self, group: LocationGroup, seq: int) -> tuple:
+    # -- registry ----------------------------------------------------------
+    def registration_handle(self, group: LocationGroup, seq: int):
         """RMI handle of ``group``'s ``seq``-th registration.  Group-scoped,
         so every member derives it without communication and disjoint
         subgroups registering concurrently (sibling nested sections) cannot
         desynchronise each other's handle spaces."""
         return (group.key, seq)
 
-    def lookup(self, handle: int, lid: int):
+    def lookup(self, handle, lid: int):
         if lid != self.lid:
             raise SpmdError(
                 f"location {self.lid}: cross-location representative access "
                 f"(handle {handle} on location {lid}) — the multiprocessing "
                 "backend has no shared address space")
-        try:
-            return self.registry[handle][lid]
-        except KeyError:
-            raise SpmdError(f"unknown p_object handle {handle}") from None
+        return super().lookup(handle, lid)
 
     # -- wire helpers ------------------------------------------------------
     def _pack(self, obj, dest: int | None = None, live_ok: bool = False):
@@ -803,19 +725,58 @@ class MpRuntime:
         else:
             self._put(origin, ("ack", spawned))
 
-    # -- handler execution -------------------------------------------------
-    def _run_handler(self, dst_loc, handle, method, args, origin):
-        obj = self.lookup(handle, self.lid)
-        self._exec_stack.append((dst_loc, origin))
-        self._exec_depth += 1
-        try:
-            result = getattr(obj, method)(*args)
-        finally:
-            self._exec_stack.pop()
-            self._exec_depth -= 1
-        dst_loc.stats.rmi_executed += 1
-        return result
+    # -- point-to-point primitives -------------------------------------------
+    def post(self, msg: Message) -> bool:
+        """Eager: the request goes to the destination process now; nothing
+        buffers sender-side, and every request is its own queue item."""
+        # serialize and post first, count after: a payload that fails to
+        # serialize raises here, in the caller's stack, before any fence
+        # counter, token or credit has moved.  (Nothing can run in
+        # between: this process services incoming traffic only from its
+        # own blocking waits.)
+        packed = self._pack(msg.args, msg.dst)
+        if msg.future is not None:
+            # token request: the reply resolves the future and carries the
+            # count of same-origin requests the handler spawned
+            token = self._next_token + 1
+            self._put(msg.dst, ("sync", msg.src, token, msg.handle,
+                                msg.method, packed))
+            self._next_token = token
+            self._futures[token] = msg.future
+            if not self._spawn_frames:
+                # top-level request: os_fence must wait for it, so count
+                # it outstanding until its reply (credit -1) arrives
+                self.outstanding += 1
+                self._reply_credit[token] = -1
+        else:
+            self._put(msg.dst, ("req", msg.src, msg.origin, msg.handle,
+                                msg.method, packed))
+            if self._spawn_frames:
+                # handler-spawned (forwarded) request: accounted by the
+                # ack credit this handler sends to the message's origin
+                self._spawn_frames[-1] += 1
+            elif msg.origin == self.lid:
+                self.outstanding += 1
+        self.req_sent += 1
+        self.sent_to[msg.dst] += 1
+        return True
 
+    def round_trip(self, loc: Location, dest: int, handle, method: str, args,
+                   header: int):
+        """A token request, then service until the reply; a self-targeted
+        one runs inline after the pending self-sends."""
+        if dest == self.lid:
+            self.progress(loc)
+            loc.clock += self.machine.o_send + self.machine.o_recv
+            return self._run_handler(loc, handle, method, args, self.lid)
+        fut = loc._send(dest, handle, method, args,
+                        header + estimate_size(args), self.lid, reply=True)
+        loc.stats.physical_messages += 1  # the reply
+        self._service_until(lambda: fut.ready,
+                            f"reply from location {dest} ({method})")
+        return fut.value
+
+    # -- handler execution -------------------------------------------------
     def _execute_req(self, item) -> None:
         _, src, origin, handle, method, packed = item
         args = self._unpack(packed)
@@ -906,55 +867,70 @@ class MpRuntime:
                     "— likely deadlock (mismatched collectives, a lost "
                     "peer, or a dependence cycle)")
 
-    # -- progress engine API (simulated-Runtime surface) -------------------
-    def drain_available(self) -> int:
-        """Process everything currently receivable; returns the number of
-        requests executed."""
+    # -- progress primitives -------------------------------------------------
+    def progress(self, loc: Location, src: int | None = None,
+                 one: bool = False) -> int:
+        """Everything receivable is deliverable, whatever its source:
+        service it all (returning the requests executed), or — ``one`` —
+        a single item of any kind."""
+        if one:
+            return int(self._service_one() is not None)
         before = self.req_executed
-        while self._service_one(block=False) is not None:
+        while self._service_one() is not None:
             pass
         return self.req_executed - before
 
-    def drain_to(self, dst: int) -> int:
-        return self.drain_available()
+    def wait(self, future: Future) -> None:
+        self._service_until(lambda: future.ready,
+                            f"reply from location {future._dst}")
 
-    def drain_one(self, dst: int) -> bool:
-        return self._service_one(block=False) is not None
+    def yield_(self, loc: Location) -> int:
+        """With nothing receivable, block briefly for an incoming message:
+        the analogue of handing the baton to the conductor."""
+        n = self.progress(loc)
+        if n == 0 and self._service_one(block=True, timeout=_YIELD_TIMEOUT):
+            n = 1
+        # a blocked Paragraph polls here, not in _service_until: without
+        # this check it would sit out the stall patience after the parent
+        # stopped the run
+        self._raise_if_stopped("a task-graph dependence")
+        return n
 
-    def flush_channel(self, src: int, dst: int, until_future=None) -> int:
-        # sends are eager: there is nothing buffered sender-side.  Forcing
-        # a future means servicing until its reply arrives; flushing "my
-        # own channel" (the pList self-send fast path) means processing
-        # what has already arrived.
-        if until_future is not None:
-            self._service_until(lambda: until_future.ready,
-                                f"reply from location {dst}")
-            return 0
-        if dst != self.lid:
-            return 0
-        return self.drain_available()
+    @contextlib.contextmanager
+    def bulk_round(self, loc: Location, tag: str, group: LocationGroup,
+                   messages: list):
+        """No clock model; the round's segments retire into its arena
+        channel, so they recycle two rounds later instead of at the next
+        world fence: completing round seq-1 proved every peer consumed
+        round seq-2."""
+        seq = self._bulk_seq.get((tag, group.key), 0)
+        self._bulk_seq[(tag, group.key)] = seq + 1
+        self.arena.begin_channel((tag, group.key), seq)
+        try:
+            yield
+        finally:
+            self.arena.end_channel()
 
+    # -- the task-graph executor's deadlock detection ------------------------
     def group_progress(self, members) -> int:
-        # local view: requests executed here *from the group's members*
-        # plus local tasks run.  A blocked subgroup executor observes
-        # progress exactly when member traffic arrives — chatter from
-        # outside locations cannot mask a stuck sub-team.
+        """The local view: requests executed here *from the group's
+        members* plus local tasks run.  A blocked subgroup executor
+        observes progress exactly when member traffic arrives — chatter
+        from outside locations cannot mask a stuck sub-team."""
         return (sum(self.exec_from[m] for m in members)
                 + self.loc.stats.tasks_executed)
 
     def stall_limit(self, group_size: int | None = None) -> int:
-        # wall-clock patience: the same window regardless of group size
-        return max(16, int(_STALL_PATIENCE / self.yield_timeout))
+        """Wall-clock patience: the same window whatever the group."""
+        return max(16, int(_STALL_PATIENCE / _YIELD_TIMEOUT))
 
-    # -- the two collective primitives + the one-sided fence ----------------
-    def exchange(self, loc: "MpLocation", op: str, payload,
-                 group: LocationGroup, personalised: bool) -> dict:
-        """Every member's ``payload`` lands on every member: returns
-        ``{lid: payload}``, or — ``personalised`` — the piece of each
-        member's per-rank sequence bound for this location.  Eager
-        point-to-point sends (shared-memory backed, a payload bound for
-        several members packed once) and a parked inbox keyed by the
-        group's exchange count: no coordinator, one queue hop per member."""
+    # -- the collective primitives + the one-sided fence --------------------
+    def exchange(self, loc: Location, op: str, payload, group: LocationGroup,
+                 personalised: bool) -> dict:
+        """Eager point-to-point sends (shared-memory backed, a payload
+        bound for several members packed once) and a parked inbox keyed by
+        the group's exchange count: no coordinator, one queue hop per
+        member."""
         loc.clock += self.machine.collective_cost(len(group))
         seq = loc._coll_seq.get(group.key, 0)
         loc._coll_seq[group.key] = seq + 1
@@ -987,7 +963,7 @@ class MpRuntime:
             arrived[member] = self._unpack(packed)
         return arrived
 
-    def fence(self, loc: "MpLocation", group: LocationGroup) -> None:
+    def fence(self, loc: Location, group: LocationGroup) -> None:
         """Counting fence: flush combining buffers (directly — coalescing
         through a node leader would be a real extra hop between processes),
         drain, exchange (sent, executed) snapshots, and finish once the
@@ -1003,18 +979,16 @@ class MpRuntime:
         non-member locations are never blocked or drained by it."""
         loc.flush_combining()
         if len(group) == 1:
-            while self.drain_available():
+            # every pass ends with the self-queue empty
+            while self.progress(loc):
                 pass
-            # anything still in the self-queue was spawned by the drain
-            while self._selfq:
-                self.drain_available()
             if self.nlocs == 1:
                 self.arena.advance_epoch()
             return
         deadline = time.monotonic() + self.op_timeout
         prev = None
         while True:
-            self.drain_available()
+            self.progress(loc)
             snap = (sum(self.sent_to[m] for m in group.members),
                     sum(self.exec_from[m] for m in group.members))
             arrived = self.exchange(loc, "fence", snap, group, False)
@@ -1034,114 +1008,13 @@ class MpRuntime:
                     f"location {self.lid}: fence never quiesced "
                     f"(sent={sent}, executed={done}) — likely deadlock")
 
-    def os_fence(self, loc: "MpLocation") -> None:
+    def os_fence(self, loc: Location) -> None:
         """One-sided fence: weighted ack credits return to the origin, so
         quiescence of what ``loc`` originated needs no collective."""
         loc.flush_combining()
         self._service_until(lambda: self.outstanding <= 0,
                             "os_fence (one-sided quiescence of originated "
                             "RMIs)")
-
-    # -- SPMD entry --------------------------------------------------------
-    def run_local(self, fn, args: tuple):
-        return fn(self.loc, *args)
-
-
-class MpLocation(Location):
-    """Location whose transport is real: overrides exactly the delivery
-    paths; identity, timers, charging, aggregation and combining-buffer
-    bookkeeping are inherited from the simulated :class:`Location`."""
-
-    def __init__(self, runtime: MpRuntime, lid: int):
-        super().__init__(runtime, lid)
-        self._slab_seq: dict = {}
-
-    def __reduce__(self):
-        # like MpRuntime: a captured location reference re-anchors to the
-        # executing process's own location
-        return (_resolve_location, ())
-
-    # -- point-to-point ----------------------------------------------------
-    # Every public RMI flavour is inherited.  Sends funnel through
-    # Location._send into MpTransport.enqueue; only the blocking round trip
-    # differs in kind: a token request, then service until the reply.
-
-    def _round_trip(self, dest: int, handle: int, method: str, args,
-                    header: int):
-        rt = self.runtime
-        m = rt.machine
-        if dest == self.id:
-            rt.drain_available()  # source FIFO with pending self-sends
-            self.clock += m.o_send + m.o_recv
-            return rt._run_handler(rt.loc, handle, method, args, self.id)
-        fut = self._send(dest, handle, method, args,
-                         header + estimate_size(args), self.id, reply=True)
-        self.stats.physical_messages += 1  # the reply
-        rt._service_until(lambda: fut.ready,
-                          f"reply from location {dest} ({method})")
-        return fut.value
-
-    # -- bulk transport ------------------------------------------------------
-    # The same collectives as the simulator's (alltoall / allgather), minus
-    # its node-aware virtual cost model, plus the arena channel: a round's
-    # segments recycle two rounds later instead of at the next world fence.
-
-    def bulk_exchange(self, slabs: list, group: LocationGroup | None = None,
-                      nelems: int = 0) -> list:
-        group = group or self.runtime.world
-        outgoing = [s for m, s in zip(group.members, slabs) if m != self.id]
-        with self._bulk_round("x", outgoing, group, nelems):
-            return self.alltoall_rmi(slabs, group)
-
-    def bulk_gather(self, payload, group: LocationGroup | None = None,
-                    nelems: int = 0) -> list:
-        group = group or self.runtime.world
-        with self._bulk_round("g", [payload] * (len(group) - 1), group,
-                              nelems):
-            return self.allgather_rmi(payload, group)
-
-    @contextlib.contextmanager
-    def _bulk_round(self, tag: str, outgoing: list, group: LocationGroup,
-                    nelems: int):
-        """Count one bulk round's ``outgoing`` slabs and open its arena
-        channel for the collective run inside the ``with`` block."""
-        rt = self.runtime
-        self.stats.bulk_elements_moved += nelems
-        for slab in outgoing:
-            self.clock += rt.machine.o_send
-            self.stats.bulk_rmi_sent += 1
-            self.stats.bytes_sent += 64 + estimate_size(slab)
-            self.stats.physical_messages += 1
-        seq = self._slab_seq.get((tag, group.key), 0)
-        self._slab_seq[(tag, group.key)] = seq + 1
-        # retire this round's segments into the exchange channel:
-        # completing round seq-1 proved every peer consumed round seq-2, so
-        # those recycle now without waiting for a fence
-        rt.arena.begin_channel((tag, group.key), seq)
-        try:
-            yield
-        finally:
-            rt.arena.end_channel()
-
-    # -- task-graph hook -----------------------------------------------------
-    def task_yield(self, drain: bool = True) -> int:
-        rt = self.runtime
-        if rt._exec_depth:
-            raise SpmdError(
-                f"location {self.id}: task_yield inside an RMI handler")
-        n = rt.drain_available()
-        if n == 0:
-            # block briefly for an incoming message: this is the real
-            # backend's analogue of handing the baton to the conductor
-            if rt._service_one(block=True, timeout=rt.yield_timeout):
-                n += 1
-        if drain:
-            n += rt.drain_available()
-        # a blocked Paragraph polls here, not in _service_until: without
-        # this check it would sit out the stall patience after the parent
-        # stopped the run
-        rt._raise_if_stopped("a task-graph dependence")
-        return n
 
 
 # ---------------------------------------------------------------------------
@@ -1167,7 +1040,7 @@ def _worker_main(lid, nlocs, machine, placement, queues, result_q, fn, args,
     t0 = time.perf_counter()
     result, err = None, None
     try:
-        result = rt.run_local(fn, args)
+        result = fn(rt.loc, *args)
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
         err = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
     wall = time.perf_counter() - t0
@@ -1326,6 +1199,5 @@ def mp_spmd_run_detailed(fn, nlocs: int, machine, args: tuple,
         backend="multiprocessing")
 
 
-__all__ = ["MpLocation", "MpRuntime", "MpTransport",
-           "SegmentCache", "ShmArena", "ShmSlab",
+__all__ = ["MpRuntime", "SegmentCache", "ShmArena", "ShmSlab",
            "mp_spmd_run_detailed", "pack_payload", "unpack_payload"]

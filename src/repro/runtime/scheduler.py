@@ -31,6 +31,8 @@ where neither moves across a full conductor round is stuck).
 
 from __future__ import annotations
 
+import abc
+import contextlib
 import threading
 import time
 from typing import Callable
@@ -234,15 +236,15 @@ class Location:
         return self.clock - t0
 
     # -- point-to-point RMI ---------------------------------------------
-    # Every public flavour funnels into one of two delivery paths, which
-    # are all a backend re-implements: ``_send`` (deliver one request) and
-    # ``_round_trip`` (deliver one request and wait for its reply).
+    # Every public flavour funnels into one of two backend primitives:
+    # ``post`` (deliver one request — through ``_send``, which charges the
+    # sender) and ``round_trip`` (deliver one request, wait for its reply).
 
     def _send(self, dest: int, handle: int, method: str, args, size: int,
               origin: int, *, bulk: bool = False, reply: bool = False):
-        """Charge the sender and hand one request to the transport's FIFO
-        channel to ``dest``; returns the reply :class:`Future` when
-        ``reply`` is set (split-phase), else None."""
+        """Charge the sender and post one request on the FIFO channel to
+        ``dest``; returns the reply :class:`Future` when ``reply`` is set
+        (split-phase), else None."""
         rt = self.runtime
         m = rt.machine
         self.clock += m.o_send
@@ -250,42 +252,10 @@ class Location:
         fut = Future(rt, self.id, dest) if reply else None
         msg = Message(self.id, dest, handle, method, args, size, self.clock,
                       origin, future=fut, bulk=bulk)
-        if rt.network.enqueue(msg):
+        if rt.post(msg):
             self.clock += m.msg_overhead
             self.stats.physical_messages += 1
         return fut
-
-    def _round_trip(self, dest: int, handle: int, method: str, args,
-                    header: int):
-        """Blocking request/reply: pending asyncs to ``dest`` execute first
-        (source FIFO), then the handler runs against the destination
-        representative while both clocks are charged the round trip.
-        ``header`` is the fixed per-message byte cost of request and reply
-        (32 scalar, 64 slab)."""
-        rt = self.runtime
-        m = rt.machine
-        rt.flush_channel(self.id, dest)
-        size = header + estimate_size(args)
-        self.clock += m.o_send
-        self.stats.bytes_sent += size
-        dst_loc = rt.locations[dest]
-        if dest == self.id:
-            self.clock += m.o_recv
-            return rt._run_handler(dst_loc, handle, method, args, self.id)
-        # a blocking RMI cannot be aggregated: request + reply each occupy
-        # one physical message
-        self.stats.physical_messages += 2
-        lat = m.latency(self.id, dest, rt.nlocs, rt.placement)
-        bc = m.byte_cost(self.id, dest, rt.nlocs, rt.placement)
-        arrival = self.clock + lat + size * bc
-        if dst_loc.clock < arrival:
-            dst_loc.clock = arrival
-        dst_loc.clock += m.o_recv
-        result = rt._run_handler(dst_loc, handle, method, args, self.id)
-        rsize = header + estimate_size(result)
-        dst_loc.stats.bytes_sent += rsize  # the reply is traffic too
-        self.clock = dst_loc.clock + lat + rsize * bc + m.o_recv
-        return result
 
     def async_rmi(self, dest: int, handle: int, method: str, *args) -> None:
         """Fire-and-forget remote method invocation (no return value).
@@ -307,7 +277,7 @@ class Location:
         # `dest` execute first.
         if self._combining:
             self.flush_combining(dest)
-        return self._round_trip(dest, handle, method, args, 32)
+        return self.runtime.round_trip(self, dest, handle, method, args, 32)
 
     def opaque_rmi(self, dest: int, handle: int, method: str, *args) -> Future:
         """Split-phase RMI: returns a :class:`Future` immediately."""
@@ -321,7 +291,7 @@ class Location:
     def poll(self) -> int:
         """Execute all buffered RMIs destined to this location; returns the
         number executed (the RTS's incoming-request processing point)."""
-        return self.runtime.drain_to(self.id)
+        return self.runtime.progress(self)
 
     # -- task-graph executor hooks ----------------------------------------
     # The dependence-driven executor (repro.algorithms.prange) runs local
@@ -337,22 +307,21 @@ class Location:
         self.stats.tasks_executed += n
 
     def task_yield(self, drain: bool = True) -> int:
-        """Cooperatively hand the baton back to the conductor so every
-        other ready location gets a turn, then execute RMIs that arrived
-        for this location (all of them by default; ``drain=False`` lets
-        the caller drain incrementally instead).  Returns the number of
-        RMIs executed.
+        """Let the other locations run (the backend's ``yield_``: the
+        baton back to the conductor, or a brief blocking receive), then
+        execute RMIs that arrived for this location (all of them by
+        default; ``drain=False`` lets the caller drain incrementally
+        instead).  Returns the number of RMIs executed.
 
         This is the executor's blocked-task progress point: unlike a
-        collective it involves no rendezvous — the location stays runnable
-        and resumes on the conductor's next pass."""
+        collective it involves no rendezvous — the location stays
+        runnable."""
         rt = self.runtime
         if rt._exec_depth:
             raise SpmdError(
                 f"location {self.id}: task_yield inside an RMI handler")
-        if rt.nlocs > 1:
-            rt._yield_to_conductor(self)
-        return self.poll() if drain else 0
+        n = rt.yield_(self)
+        return n + rt.progress(self) if drain else n
 
     # -- bulk transport ---------------------------------------------------
     # Aggregation taken to its logical end (Ch. III.B): instead of batching
@@ -381,7 +350,7 @@ class Location:
         self.stats.bulk_elements_moved += nelems
         if self._combining:
             self.flush_combining(dest)
-        return self._round_trip(dest, handle, method, args, 64)
+        return self.runtime.round_trip(self, dest, handle, method, args, 64)
 
     def bulk_exchange(self, slabs: list, group: "LocationGroup | None" = None,
                       nelems: int = 0) -> list:
@@ -400,58 +369,21 @@ class Location:
         rt = self.runtime
         m = rt.machine
         group = group or rt.world
-        self.stats.bulk_elements_moved += nelems
         my_node = m.node_of(self.id, rt.nlocs, rt.placement)
         by_node: dict[int, list] = {}
         for member, payload in zip(group.members, slabs):
-            if member == self.id:
-                continue
-            empty = payload is None or (hasattr(payload, "__len__")
-                                        and len(payload) == 0)
-            if empty:
-                continue
-            node = m.node_of(member, rt.nlocs, rt.placement)
-            by_node.setdefault(node, []).append(
-                (member, 64 + estimate_size(payload)))
+            if member != self.id and not _empty_slab(payload):
+                by_node.setdefault(
+                    m.node_of(member, rt.nlocs, rt.placement), []).append(
+                        (member, 64 + estimate_size(payload)))
+        messages = []
         for node in sorted(by_node):
-            targets = by_node[node]
-            if node == my_node:
-                for member, size in targets:
-                    self.clock += (m.o_send + m.msg_overhead
-                                   + size * m.byte_intra)
-                    self.stats.bulk_rmi_sent += 1
-                    self.stats.bytes_sent += size
-                    self.stats.physical_messages += 1
-                continue
-            if len(targets) == 1:
-                member, size = targets[0]
-                self.clock += m.o_send + m.msg_overhead + size * m.byte_inter
-                self.stats.bulk_rmi_sent += 1
-                self.stats.bytes_sent += size
-                self.stats.physical_messages += 1
-                continue
-            # several destinations on one remote node: one coalesced
-            # inter-node message to the node leader ...
-            total = sum(size for _, size in targets)
-            leader = rt.locations[min(member for member, _ in targets)]
-            self.clock += m.o_send + m.msg_overhead + total * m.byte_inter
-            self.stats.bulk_rmi_sent += 1
-            self.stats.bytes_sent += total
-            self.stats.physical_messages += 1
-            self.stats.coalesced_messages += 1
-            # ... which the leader scatters intra-node after it arrives.
-            # The scatter is a shared-memory handoff (the slabs land in a
-            # node-shared buffer the siblings read under t_lock), not
-            # another round of physical messages.
-            arrival = self.clock + m.latency_inter
-            if leader.clock < arrival:
-                leader.clock = arrival
-            for member, size in targets:
-                if member == leader.id:
-                    continue
-                leader.clock += m.t_lock + size * m.byte_intra
-                leader.stats.lock_acquires += 1
-        return self.alltoall_rmi(slabs, group)
+            if node == my_node or len(by_node[node]) == 1:
+                messages.extend([target] for target in by_node[node])
+            else:
+                messages.append(by_node[node])
+        with self._bulk_round("x", messages, group, nelems):
+            return self.alltoall_rmi(slabs, group)
 
     def bulk_gather(self, payload, group: "LocationGroup | None" = None,
                     nelems: int = 0) -> list:
@@ -459,23 +391,32 @@ class Location:
         payloads in group order.  A non-empty payload costs one physical
         message per (src, dst) pair with its bytes charged once — the
         batched gather under ``to_dict``/``sorted_items``/``to_list``."""
-        rt = self.runtime
-        m = rt.machine
-        group = group or rt.world
-        self.stats.bulk_elements_moved += nelems
-        empty = payload is None or (hasattr(payload, "__len__")
-                                    and len(payload) == 0)
-        if not empty:
+        group = group or self.runtime.world
+        messages = []
+        if not _empty_slab(payload):
             size = 64 + estimate_size(payload)
-            for member in group.members:
-                if member == self.id:
-                    continue
-                bc = m.byte_cost(self.id, member, rt.nlocs, rt.placement)
-                self.clock += m.o_send + m.msg_overhead + size * bc
-                self.stats.bulk_rmi_sent += 1
-                self.stats.bytes_sent += size
-                self.stats.physical_messages += 1
-        return self.allgather_rmi(payload, group)
+            messages = [[(member, size)] for member in group.members
+                        if member != self.id]
+        with self._bulk_round("g", messages, group, nelems):
+            return self.allgather_rmi(payload, group)
+
+    def _bulk_round(self, tag: str, messages: list, group: "LocationGroup",
+                    nelems: int):
+        """Count one bulk round and enter the backend's ``bulk_round``.
+        ``messages`` lists the round's physical messages, each the
+        ``(member, size)`` slabs it carries — empty slabs never appear, and
+        several in one message is a bundle coalesced through a node leader.
+        Every counter of the round is incremented here, so the backends
+        cannot drift apart."""
+        st = self.stats
+        st.bulk_elements_moved += nelems
+        for slabs in messages:
+            st.bulk_rmi_sent += 1
+            st.physical_messages += 1
+            st.bytes_sent += sum(size for _, size in slabs)
+            if len(slabs) > 1:
+                st.coalesced_messages += 1
+        return self.runtime.bulk_round(self, tag, group, messages)
 
     # -- combining buffers -------------------------------------------------
     # The second Ch. III.B technique: asynchronous op records destined to
@@ -616,6 +557,8 @@ class Location:
     def reduce_rmi(self, value, op: Callable = None, root: int = 0,
                    group: LocationGroup | None = None):
         """Rooted reduction; non-roots receive ``None``."""
+        if root not in (group or self.runtime.world):
+            raise SpmdError("reduce: root did not participate")
         result = self._collective("allreduce", (value, op), group)
         return result if self.id == root else None
 
@@ -747,39 +690,51 @@ def _combine(op_fn, a, b):
     return (a + b) if op_fn is None else op_fn(a, b)
 
 
-class Runtime:
-    """One SPMD execution: locations + network + registry + conductor."""
+def _empty_slab(payload) -> bool:
+    return payload is None or (hasattr(payload, "__len__")
+                               and len(payload) == 0)
 
-    def __init__(self, nlocs: int, machine="smp", placement: str = "packed",
-                 config: RuntimeConfig = RuntimeConfig()):
+
+class BackendRuntime(abc.ABC):
+    """One SPMD execution, as :class:`Location` and everything above it see
+    it: the state and handler execution every backend shares, plus — the
+    abstract methods — the primitives a backend supplies.  ``Location`` is
+    written once over these; a new execution backend is one subclass.
+
+    Conventions: ``loc`` is always the calling location (one a backend
+    hosts); a primitive that waits may execute incoming requests meanwhile,
+    and raises :class:`SpmdError` rather than wait forever."""
+
+    #: whether representatives on other locations share this address space;
+    #: containers consult it before cross-representative shortcuts (e.g.
+    #: pVector's shared partition metadata)
+    shared_address_space = False
+
+    def __init__(self, nlocs: int, machine, placement: str,
+                 config: RuntimeConfig):
         if nlocs < 1:
             raise ValueError("need at least one location")
         self.config = config
         self.machine = get_machine(machine)
         self.nlocs = nlocs
         self.placement = placement
-        self.locations = [Location(self, i) for i in range(nlocs)]
         self.world = LocationGroup(range(nlocs))
-        self.network = Network(nlocs, self.machine.aggregation)
         #: handle -> {lid: representative}
-        self.registry: dict[int, dict] = {}
-        self._handles: dict[tuple, int] = {}
-        self._pending_rv: dict = {}
-        self._conductor_evt = threading.Event()
-        self._abort = False
+        self.registry: dict = {}
         self._exec_stack: list[tuple[Location, int]] = []
         self._exec_depth = 0
-        self._tls = threading.local()
+        #: the location whose program has the processor — the current
+        #: location outside a handler; the backend keeps it up to date
+        self._running: Location | None = None
 
     # -- current location tracking --------------------------------------
     @property
     def current_location(self) -> Location:
         if self._exec_stack:
             return self._exec_stack[-1][0]
-        loc = getattr(self._tls, "loc", None)
-        if loc is None:
+        if self._running is None:
             raise SpmdError("no current location (outside an SPMD run)")
-        return loc
+        return self._running
 
     @property
     def current_origin(self) -> int:
@@ -787,13 +742,8 @@ class Runtime:
             return self._exec_stack[-1][1]
         return self.current_location.id
 
-    # -- registry --------------------------------------------------------
-    def registration_handle(self, group: LocationGroup, seq: int) -> int:
-        """RMI handle of ``group``'s ``seq``-th registration: the next
-        int, drawn by whichever member proposes first."""
-        return self._handles.setdefault((group.key, seq), len(self._handles))
-
-    def lookup(self, handle: int, lid: int):
+    # -- registry and handler execution -----------------------------------
+    def lookup(self, handle, lid: int):
         try:
             reps = self.registry[handle]
         except KeyError:
@@ -805,9 +755,8 @@ class Runtime:
                 f"p_object handle {handle} has no representative on "
                 f"location {lid}") from None
 
-    # -- message execution ----------------------------------------------
-    def _run_handler(self, dst_loc: Location, handle: int, method: str,
-                     args, origin: int):
+    def _run_handler(self, dst_loc: Location, handle, method: str, args,
+                     origin: int):
         obj = self.lookup(handle, dst_loc.id)
         self._exec_stack.append((dst_loc, origin))
         self._exec_depth += 1
@@ -817,6 +766,142 @@ class Runtime:
             self._exec_stack.pop()
             self._exec_depth -= 1
         dst_loc.stats.rmi_executed += 1
+        return result
+
+    # -- the backend primitives --------------------------------------------
+    @abc.abstractmethod
+    def post(self, msg: Message) -> bool:
+        """Accept one outgoing request on its (src, dst) channel, which
+        executes requests in post order (Ch. III.B source FIFO); a
+        ``msg.future`` is resolved with the handler's result.  True when a
+        new *physical* message started (the sender is charged the fixed
+        message overhead exactly then)."""
+
+    @abc.abstractmethod
+    def round_trip(self, loc: Location, dest: int, handle, method: str, args,
+                   header: int):
+        """Blocking request/reply: execute ``method`` at ``dest`` after
+        everything ``loc`` posted there earlier and return its result,
+        charging ``loc`` the round trip.  ``header`` is the fixed
+        per-message byte cost of request and reply (32 scalar, 64 slab)."""
+
+    @abc.abstractmethod
+    def progress(self, loc: Location, src: int | None = None,
+                 one: bool = False) -> int:
+        """Execute requests deliverable to ``loc`` now, without blocking:
+        all of them, at least those ``src`` posted, or — ``one`` — only
+        the earliest.  Returns how many ran; 0 means nothing was
+        deliverable."""
+
+    @abc.abstractmethod
+    def wait(self, future: Future) -> None:
+        """Block until the split-phase ``future`` resolves."""
+
+    @abc.abstractmethod
+    def yield_(self, loc: Location) -> int:
+        """The blocked executor's hand-off: let the other locations run
+        before ``loc`` looks for progress again.  Returns the number of
+        requests executed at ``loc`` meanwhile."""
+
+    @abc.abstractmethod
+    def bulk_round(self, loc: Location, tag: str, group: LocationGroup,
+                   messages: list):
+        """Open one ``bulk_exchange`` ("x") / ``bulk_gather`` ("g") round
+        whose physical ``messages`` ``Location._bulk_round`` has counted:
+        charge what they cost, and return the context manager the round's
+        collective runs under."""
+
+    @abc.abstractmethod
+    def exchange(self, loc: Location, op: str, payload, group: LocationGroup,
+                 personalised: bool) -> dict:
+        """Every member's ``payload`` lands on every member: returns
+        ``{lid: payload}``, or — ``personalised`` — the piece of each
+        member's per-rank sequence bound for ``loc``.  Members calling
+        different ``op``s raise."""
+
+    @abc.abstractmethod
+    def fence(self, loc: Location, group: LocationGroup) -> None:
+        """Collective over ``group``: on return no request posted among its
+        members before the fence is still pending, ``loc``'s combining
+        buffers included."""
+
+    @abc.abstractmethod
+    def os_fence(self, loc: Location) -> None:
+        """One-sided: on return every request ``loc`` originated —
+        transitively, through forwarding — has executed."""
+
+    @abc.abstractmethod
+    def registration_handle(self, group: LocationGroup, seq: int):
+        """The RMI handle of ``group``'s ``seq``-th registration, the same
+        on every member."""
+
+    @abc.abstractmethod
+    def group_progress(self, members) -> int:
+        """Monotone progress metric over ``members`` (requests executed
+        plus tasks run, as far as this backend can see them) watched by
+        the task-graph executor's deadlock detection."""
+
+    @abc.abstractmethod
+    def stall_limit(self, group_size: int | None = None) -> int:
+        """How many progress-free blocked-executor rounds mean deadlock
+        for an executor over ``group_size`` locations."""
+
+
+class Runtime(BackendRuntime):
+    """The simulated backend: every location in this process, a buffered
+    :class:`Network`, and a conductor passing one baton."""
+
+    #: one address space holds every representative
+    shared_address_space = True
+
+    def __init__(self, nlocs: int, machine="smp", placement: str = "packed",
+                 config: RuntimeConfig = RuntimeConfig()):
+        super().__init__(nlocs, machine, placement, config)
+        self.locations = [Location(self, i) for i in range(nlocs)]
+        self.network = Network(nlocs, self.machine.aggregation)
+        #: shadows the class's ``post``, so a send pays no frame between
+        #: ``Location._send`` and the network
+        self.post = self.network.enqueue
+        self._handles: dict[tuple, int] = {}
+        self._pending_rv: dict = {}
+        self._conductor_evt = threading.Event()
+        self._abort = False
+
+    def registration_handle(self, group: LocationGroup, seq: int):
+        """The next int, drawn by whichever member proposes first."""
+        return self._handles.setdefault((group.key, seq), len(self._handles))
+
+    # -- message execution ----------------------------------------------
+    def post(self, msg: Message) -> bool:
+        return self.network.enqueue(msg)
+
+    def round_trip(self, loc: Location, dest: int, handle, method: str, args,
+                   header: int):
+        """Pending asyncs to ``dest`` execute first, then the handler runs
+        directly against the destination representative while both clocks
+        are charged the round trip."""
+        m = self.machine
+        self.flush_channel(loc.id, dest)
+        size = header + estimate_size(args)
+        loc.clock += m.o_send
+        loc.stats.bytes_sent += size
+        dst_loc = self.locations[dest]
+        if dest == loc.id:
+            loc.clock += m.o_recv
+            return self._run_handler(dst_loc, handle, method, args, loc.id)
+        # a blocking RMI cannot be aggregated: request + reply each occupy
+        # one physical message
+        loc.stats.physical_messages += 2
+        lat = m.latency(loc.id, dest, self.nlocs, self.placement)
+        bc = m.byte_cost(loc.id, dest, self.nlocs, self.placement)
+        arrival = loc.clock + lat + size * bc
+        if dst_loc.clock < arrival:
+            dst_loc.clock = arrival
+        dst_loc.clock += m.o_recv
+        result = self._run_handler(dst_loc, handle, method, args, loc.id)
+        rsize = header + estimate_size(result)
+        dst_loc.stats.bytes_sent += rsize  # the reply is traffic too
+        loc.clock = dst_loc.clock + lat + rsize * bc + m.o_recv
         return result
 
     def execute_message(self, msg: Message) -> None:
@@ -837,13 +922,12 @@ class Runtime:
             msg.future._resolve(result, dst_loc.clock + lat)
 
     # -- progress engines --------------------------------------------------
-    def flush_channel(self, src: int, dst: int, until_future=None) -> int:
-        """Execute buffered messages src->dst in FIFO order.  If
-        ``until_future`` is given, stop once that future resolves."""
+    def flush_channel(self, src: int, dst: int,
+                      until: Future | None = None) -> int:
+        """Execute buffered messages src->dst in FIFO order — all of them,
+        or only up to the one that resolves ``until``."""
         n = 0
-        while True:
-            if until_future is not None and until_future.ready:
-                break
+        while until is None or not until.ready:
             msg = self.network.pop(src, dst)
             if msg is None:
                 break
@@ -851,31 +935,43 @@ class Runtime:
             n += 1
         return n
 
-    def drain_to(self, dst: int) -> int:
-        n = 0
-        for src in range(self.nlocs):
-            n += self.flush_channel(src, dst)
-        return n
+    def wait(self, future: Future) -> None:
+        """Force progress on the request's channel until it has executed."""
+        self.flush_channel(future._src, future._dst, until=future)
 
-    def drain_one(self, dst: int) -> bool:
-        """Execute the single earliest-departed pending message to ``dst``
-        (head of its FIFO channel); returns False when nothing is buffered.
+    def progress(self, loc: Location, src: int | None = None,
+                 one: bool = False) -> int:
+        """Exactly what was asked: every channel to ``loc`` in source
+        order, only ``src``'s, or — ``one`` — the single earliest-departed
+        pending message (head of its FIFO channel).
 
         The task-graph executor drains incrementally: executing a message
         advances the receiver's clock to that message's arrival time, so a
         blocked location processes arrivals oldest-first and stops as soon
         as a task unblocks, instead of absorbing the arrival times of
         messages that later phases raced ahead to send."""
+        if src is not None:
+            return self.flush_channel(src, loc.id)
+        if not one:
+            return sum(self.flush_channel(src, loc.id)
+                       for src in range(self.nlocs))
         best_src = None
         best_depart = 0.0
-        for src, chan in self.network.pending_to(dst):
+        for src, chan in self.network.pending_to(loc.id):
             depart = chan[0].depart
             if best_src is None or depart < best_depart:
                 best_src, best_depart = src, depart
         if best_src is None:
-            return False
-        self.execute_message(self.network.pop(best_src, dst))
-        return True
+            return 0
+        self.execute_message(self.network.pop(best_src, loc.id))
+        return 1
+
+    def yield_(self, loc: Location) -> int:
+        """Hand the baton back to the conductor, so every other ready
+        location gets a turn; ``loc`` resumes on its next pass."""
+        if self.nlocs > 1:
+            self._yield_to_conductor(loc)
+        return 0
 
     def drain_among(self, members) -> int:
         """Execute buffered traffic among ``members`` to quiescence.
@@ -936,6 +1032,7 @@ class Runtime:
                     loc._resume.set()
             for t in threads:
                 t.join(timeout=30.0)
+            self._running = None
         failed = [loc for loc in self.locations if loc.state == _FAILED]
         if failed:
             loc = failed[0]
@@ -951,7 +1048,6 @@ class Runtime:
             loc.state = _DONE
             self._conductor_evt.set()
             return
-        self._tls.loc = loc
         try:
             loc.result = fn(loc, *args)
             loc.state = _DONE
@@ -971,6 +1067,7 @@ class Runtime:
             raise _Abort()
 
     def _give_baton(self, loc: Location) -> None:
+        self._running = loc
         self._conductor_evt.clear()
         loc._resume.set()
         if not self._conductor_evt.wait(timeout=_BATON_TIMEOUT):
@@ -1010,14 +1107,12 @@ class Runtime:
             self._abort = True
             raise
 
-    # -- the two collective primitives --------------------------------------
+    # -- the collective primitives ------------------------------------------
     def exchange(self, loc: Location, op: str, payload, group: LocationGroup,
                  personalised: bool) -> dict:
-        """Every member's ``payload`` lands on every member: returns
-        ``{lid: payload}``, or — ``personalised`` — the piece of each
-        member's per-rank sequence bound for ``loc``.  A rendezvous through
-        the conductor, which synchronises the members' clocks; a singleton
-        group completes inline, with no context switch."""
+        """A rendezvous through the conductor, which synchronises the
+        members' clocks; a singleton group completes inline, with no
+        context switch."""
         if len(group) == 1:
             loc.clock += self.machine.coll_beta
             arrived = {loc.id: payload}
@@ -1066,28 +1161,49 @@ class Runtime:
             loc.clock = t
             loc.state = _READY
 
-    # -- backend capability/progress hooks -----------------------------------
-    #: the simulator shares one address space across representatives;
-    #: containers consult this before cross-representative shortcuts
-    #: (e.g. pVector's shared partition metadata)
-    shared_address_space = True
+    def bulk_round(self, loc: Location, tag: str, group: LocationGroup,
+                   messages: list):
+        """The virtual cost of a bulk round's messages: same-node slabs pay
+        intra-node rates, and a bundle coalesced for a remote node pays one
+        inter-node message plus its leader's intra-node scatter."""
+        m = self.machine
+        for slabs in messages:
+            if len(slabs) == 1:
+                member, size = slabs[0]
+                loc.clock += (m.o_send + m.msg_overhead + size * m.byte_cost(
+                    loc.id, member, self.nlocs, self.placement))
+                continue
+            # several destinations on one remote node: one coalesced
+            # inter-node message to the node leader ...
+            total = sum(size for _, size in slabs)
+            leader = self.locations[min(member for member, _ in slabs)]
+            loc.clock += m.o_send + m.msg_overhead + total * m.byte_inter
+            # ... which the leader scatters intra-node after it arrives.
+            # The scatter is a shared-memory handoff (the slabs land in a
+            # node-shared buffer the siblings read under t_lock), not
+            # another round of physical messages.
+            arrival = loc.clock + m.latency_inter
+            if leader.clock < arrival:
+                leader.clock = arrival
+            for member, size in slabs:
+                if member != leader.id:
+                    leader.clock += m.t_lock + size * m.byte_intra
+                    leader.stats.lock_acquires += 1
+        return contextlib.nullcontext()
 
+    # -- the task-graph executor's deadlock detection ------------------------
     def group_progress(self, members) -> int:
-        """Monotone progress metric over ``members`` watched by the
-        task-graph executor's deadlock detection (messages executed plus
-        tasks run).  The simulator can read every location's counters; a
-        distributed backend overrides this with its local view."""
+        """The simulator can read every member's counters."""
         return sum(self.locations[lid].stats.rmi_executed
                    + self.locations[lid].stats.tasks_executed
                    for lid in members)
 
     def stall_limit(self, group_size: int | None = None) -> int:
-        """How many progress-free blocked-executor rounds mean deadlock.
-        One full conductor round suffices in the deterministic simulator;
-        a real backend scales this to a wall-clock patience window.
-        ``group_size`` scopes the patience to the executor's own group —
-        the innermost active group is what deadlock detection watches, so
-        a small sub-team need not wait out a world-sized round."""
+        """One full conductor round suffices in the deterministic
+        simulator.  ``group_size`` scopes the patience to the executor's
+        own group — the innermost active group is what deadlock detection
+        watches, so a small sub-team need not wait out a world-sized
+        round."""
         return (group_size or self.nlocs) + 1
 
     # -- reporting -----------------------------------------------------------

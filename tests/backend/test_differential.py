@@ -325,6 +325,31 @@ def test_collective_and_fence_counts_identical():
         assert rep.stats.total.fences == 4
 
 
+def _bulk_rounds_prog(ctx):
+    # one slab to the right neighbour, empty ones to everybody else ...
+    slabs = [list(range(1000)) if d == (ctx.id + 1) % ctx.nlocs else []
+             for d in range(ctx.nlocs)]
+    got = ctx.bulk_exchange(slabs, nelems=1000)
+    # ... and a gather only location 0 contributes to
+    gathered = ctx.bulk_gather([ctx.id] * 5 if ctx.id == 0 else [], nelems=5)
+    ctx.rmi_fence()
+    return [len(s) for s in got], gathered
+
+
+def test_bulk_round_counters_identical():
+    """Empty slabs are neither messages nor bytes on either backend: the
+    counters of a bulk round come from one place, ``Location._bulk_round``."""
+    sim = spmd_run_detailed(_bulk_rounds_prog, nlocs=4, machine="smp")
+    real = spmd_run_detailed(_bulk_rounds_prog, nlocs=4, machine="smp",
+                             backend="multiprocessing", timeout=120.0)
+    assert sim.results == real.results
+    assert sim.stats.total.bulk_rmi_sent == 4 + 3
+    for counter in ("bulk_rmi_sent", "physical_messages", "bytes_sent",
+                    "bulk_elements_moved"):
+        assert (getattr(sim.stats.total, counter)
+                == getattr(real.stats.total, counter)), counter
+
+
 _SLAB = 1 << 17  # int64 elements: 1 MiB
 
 

@@ -98,6 +98,17 @@ class TestCollectives:
             return ctx.reduce_rmi(ctx.id, root=2)
         assert mp_run(prog, 4) == [None, None, 6, None]
 
+    def test_reduce_root_outside_group_raises(self):
+        from repro.runtime import LocationGroup
+
+        def prog(ctx):
+            # the default root, 0, is not a member
+            if ctx.id:
+                return ctx.reduce_rmi(1, group=LocationGroup([1, 2]))
+        with pytest.raises(SpmdError,
+                           match="reduce: root did not participate"):
+            mp_run(prog, 3)
+
     def test_barrier_and_subgroup_collective(self):
         from repro.runtime import LocationGroup
 
@@ -364,7 +375,7 @@ class TestUnserializableSend:
         frames, state, _, _ = out[0]
         # raised under the caller's own send, not from a feeder thread
         assert frames[0] == "_prog" and kind in frames
-        assert "enqueue" in frames
+        assert "post" in frames
         assert state == (0, 0, 0, 0, 0, 0)
         for _, _, fenced_in, got in out:
             assert fenced_in < 2.0

@@ -63,6 +63,14 @@ class TestCollectives:
         out = run(lambda ctx: ctx.reduce_rmi(1, root=2), nlocs=4)
         assert out == [None, None, 4, None]
 
+    def test_reduce_root_outside_group_raises(self):
+        def prog(ctx):
+            # the default root, 0, is not a member
+            if ctx.id:
+                return ctx.reduce_rmi(1, group=LocationGroup([1, 2]))
+        with pytest.raises(SpmdError, match="reduce: root did not participate"):
+            run(prog, nlocs=3)
+
     def test_broadcast(self):
         def prog(ctx):
             return ctx.broadcast_rmi(1, "payload" if ctx.id == 1 else None)

@@ -11,7 +11,7 @@ import types
 from pathlib import Path
 
 import repro  # noqa: F401 - loads every subclass the tracer would see
-import repro.runtime.mp  # noqa: F401 - ... including MpLocation's overrides
+import repro.runtime.mp  # noqa: F401 - ... and the mp module's wire entry points
 
 _TRACING = (Path(__file__).resolve().parents[2]
             / "benchmarks" / "e2e" / "e2ebench" / "tracing.py")
