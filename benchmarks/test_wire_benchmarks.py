@@ -7,7 +7,10 @@ zero-copy view).  No end-to-end workload moves a slab (every
 side gets a number.
 
 Only counts are asserted — segments created/reused, zero-copy views; the
-timings are printed by pytest-benchmark and gate nothing."""
+timings are printed by pytest-benchmark and gate nothing.  Each test runs
+its ``ROUNDS`` round trips itself and benchmarks the last one, so the
+counts hold with benchmarking on or off (``--benchmark-disable`` runs a
+``pedantic`` benchmark once, whatever its ``rounds``)."""
 
 import numpy as np
 import pytest
@@ -41,13 +44,20 @@ def _round_trip(payload, arena, cache):
     return out
 
 
+def _round_trips(benchmark, payload, arena, cache):
+    """``ROUNDS`` round trips, the last one benchmarked."""
+    for _ in range(ROUNDS - 1):
+        _round_trip(payload, arena, cache)
+    return benchmark.pedantic(_round_trip, args=(payload, arena, cache),
+                              rounds=1, iterations=1)
+
+
 def test_flush_payload_round_trip(benchmark, wire):
     arena, cache, stats = wire
     handle = ((0, 1), 3)
     payload = ([(handle, "accumulate", (f"w{i % 200}", 1))
                 for i in range(1024)],)
-    out = benchmark.pedantic(_round_trip, args=(payload, arena, cache),
-                             rounds=ROUNDS, iterations=1)
+    out = _round_trips(benchmark, payload, arena, cache)
     assert out == payload
     assert stats.shm_segments_created == stats.shm_segments_reused == 0
     assert stats.zero_copy_slab_views == 0
@@ -56,9 +66,7 @@ def test_flush_payload_round_trip(benchmark, wire):
 def test_slab_payload_round_trip(benchmark, wire):
     arena, cache, stats = wire
     payload = (0, 131072, np.arange(131072, dtype=np.int64))  # 1 MiB
-    lo, hi, view = benchmark.pedantic(_round_trip,
-                                      args=(payload, arena, cache),
-                                      rounds=ROUNDS, iterations=1)
+    lo, hi, view = _round_trips(benchmark, payload, arena, cache)
     assert (lo, hi) == (0, 131072) and not view.flags.writeable
     np.testing.assert_array_equal(view, payload[2], strict=True)
     # one segment per round: created once, warm from round 2 on

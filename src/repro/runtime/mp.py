@@ -25,13 +25,13 @@ API):
   inbox, no coordinator; payloads ride the slab transport and reduction
   operators never cross a process boundary, every member folds its own
   result) and :meth:`MpRuntime.fence`.
-* The fence is a counting fence: rounds of (messages sent, messages
-  executed) exchanges until the group totals are equal and stable for two
-  consecutive rounds; every blocked wait services incoming requests, so
-  fences, sync RMIs and exchanges can never deadlock against each
-  other.  ``os_fence`` uses weighted ack credits: every executed request
-  acknowledges its *origin* with the number of same-origin requests its
-  handler spawned, so one-sided quiescence needs no collective.
+* Both fences count: waves of (requests sent, requests executed) totals
+  until they are equal and unchanged for two consecutive waves.  A
+  ``fence`` gathers a wave with an exchange over the group; ``os_fence``
+  polls every peer for its counts of the requests the caller originated,
+  so only its caller pays for it and no request is ever acknowledged.
+  Every blocked wait services incoming traffic, so fences, sync RMIs and
+  exchanges can never deadlock against each other.
 * Every blocking wait carries a deadline (the launcher's ``op_timeout``): a
   genuinely deadlocked program fails fast with a diagnostic instead of
   hanging the test runner, and the parent enforces a wall-clock cap on the
@@ -91,7 +91,7 @@ _YIELD_TIMEOUT = 0.05
 #: wait declares a dependence deadlock
 _STALL_PATIENCE = 10.0
 
-_PACK_DEPTH = 8
+_PACK_DEPTH = 9  # eight levels below a wire item's payload
 
 #: ndarray payloads at least this big (bytes) ride shared-memory segments
 #: instead of being pickled into the queue pipe
@@ -467,15 +467,18 @@ def _unpack_tree(obj, cache: SegmentCache | None, _depth: int = 0):
 # thread: an unserializable payload raises in the sender's stack with a
 # real traceback instead of hanging the run from a daemon thread.
 #
-# Each payload is serialized exactly once (`pack_payload`), and that one
-# pickle pass is also the scan for slab-eligible ndarrays: the C pickler
-# calls ``reducer_override`` only for non-builtin objects, so a flush of a
+# Each wire item — envelope and payload together — is serialized exactly
+# once (`pack_payload`, called by `MpRuntime._put`) and deserialized once
+# (`unpack_payload`, in `MpRuntime._next_item`).  That one pickle pass is
+# also the scan for slab-eligible ndarrays: the C pickler calls
+# ``reducer_override`` only for non-builtin objects, so a flush of a
 # thousand (handle, method, args) records costs no Python at all, and the
 # pass aborts at the first eligible ndarray it meets.  Only then does the
 # tree walk (`_pack_tree`) run and the walked tree travel behind a flag
-# byte.  The envelope (`MpRuntime._put`) carries the packed payload as one
-# ``bytes`` — a memcpy for the outer pickler — and the exchange's multicast
-# and parked inbox forward it untouched.
+# byte.  The envelope holds no arrays, so the walk moves exactly the
+# arrays of the payload; the exchange's multicast packs its item once and
+# puts the same bytes on every member's queue.  `wire_dumps` serializes
+# only the launch blob of a non-fork start.
 # ---------------------------------------------------------------------------
 
 #: the process's active runtime, installed by ``_worker_main`` — the anchor
@@ -624,19 +627,6 @@ def unpack_payload(packed: bytes, cache: SegmentCache | None = None):
     return pickle.loads(packed)
 
 
-class _SelfPayload:
-    """Packed form of a self-send: the walked tree itself.  A self-send is
-    never pickled — closures and object identity arrive by reference
-    through ``_selfq`` — but its slab-eligible arrays still snapshot into
-    the arena, so the handler sees the value as of the send whatever the
-    sender does to the array afterwards."""
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree):
-        self.tree = tree
-
-
 class MpRuntime(BackendRuntime):
     """The multiprocessing backend, one per process: one local location,
     a queue to every peer, a shared-memory arena for slabs.  Representative
@@ -656,21 +646,23 @@ class MpRuntime(BackendRuntime):
         self.loc = self._running = Location(self, lid)
         self.arena = ShmArena(self._new_shm_name, stats=self.loc.stats)
         self.seg_cache = SegmentCache(stats=self.loc.stats)
-        # transport state: totals plus per-peer splits — a fence over a
-        # subgroup must count only traffic among its members, or a
+        # request counts: totals, per-peer splits for ``fence`` — a fence
+        # over a subgroup must count only traffic among its members, or a
         # member's sends to outside locations (whose executions the group
-        # gather never sees) keep it from quiescing forever
+        # gather never sees) keep it from quiescing forever — and
+        # per-origin splits for the peers' ``os_fence`` waves
         self.req_sent = 0
         self.req_executed = 0
         self.sent_to = [0] * nlocs
         self.exec_from = [0] * nlocs
-        self.outstanding = 0
-        self._spawn_frames: list[int] = []
+        self.origin_sent = [0] * nlocs
+        self.origin_executed = [0] * nlocs
+        self._os_waves = 0
         self._futures: dict[int, Future] = {}
-        self._reply_credit: dict[int, int] = {}
         self._next_token = 0
         self._shm_count = 0
-        #: parked exchange payloads: (group.key, seq) -> {src: (op, packed)}
+        #: parked exchange payloads and os_fence answers:
+        #: (group.key, seq) or ("os_fence", wave) -> {src: (op, payload)}
         self._slab_inbox: dict = {}
         #: bulk rounds opened per (tag, group.key): the arena channel's seq
         self._bulk_seq: dict = {}
@@ -693,37 +685,23 @@ class MpRuntime(BackendRuntime):
         return super().lookup(handle, lid)
 
     # -- wire helpers ------------------------------------------------------
-    def _pack(self, obj, dest: int | None = None, live_ok: bool = False):
-        if dest == self.lid:
-            return _SelfPayload(
-                _pack_tree(obj, self.arena, SHM_SLAB_THRESHOLD, live_ok))
-        return pack_payload(obj, self.arena, live_ok=live_ok)
-
-    def _unpack(self, packed):
-        if type(packed) is _SelfPayload:
-            return _unpack_tree(packed.tree, self.seg_cache)
-        return unpack_payload(packed, self.seg_cache)
-
     def _new_shm_name(self) -> str:
         self._shm_count += 1
         return f"rs{self.run_id}_{self.lid}_{self._shm_count}"
 
-    def _put(self, dest: int, item) -> None:
+    def _put(self, dest: int, item, live_ok: bool = False) -> None:
         if dest == self.lid:
             # self-sends bypass the queue: synchronously visible, so a
-            # singleton fence can drain to true quiescence
-            self._selfq.append(item)
+            # singleton fence can drain to true quiescence.  Never pickled
+            # (closures and object identity arrive by reference), their
+            # slab-eligible arrays still snapshot into the arena
+            self._selfq.append(
+                _pack_tree(item, self.arena, SHM_SLAB_THRESHOLD, live_ok))
         else:
             # serialize here, in the sender's stack — not in the queue's
-            # feeder thread, whose pickle failures would hang the run —
-            # with the closure-capable wire pickler
-            self._queues[dest].put(wire_dumps(item))
-
-    def _send_credit(self, origin: int, spawned: int) -> None:
-        if origin == self.lid:
-            self.outstanding += spawned - 1
-        else:
-            self._put(origin, ("ack", spawned))
+            # feeder thread, whose pickle failures would hang the run
+            self._queues[dest].put(
+                pack_payload(item, self.arena, live_ok=live_ok))
 
     # -- point-to-point primitives -------------------------------------------
     def post(self, msg: Message) -> bool:
@@ -731,34 +709,20 @@ class MpRuntime(BackendRuntime):
         buffers sender-side, and every request is its own queue item."""
         # serialize and post first, count after: a payload that fails to
         # serialize raises here, in the caller's stack, before any fence
-        # counter, token or credit has moved.  (Nothing can run in
-        # between: this process services incoming traffic only from its
-        # own blocking waits.)
-        packed = self._pack(msg.args, msg.dst)
-        if msg.future is not None:
-            # token request: the reply resolves the future and carries the
-            # count of same-origin requests the handler spawned
-            token = self._next_token + 1
-            self._put(msg.dst, ("sync", msg.src, token, msg.handle,
-                                msg.method, packed))
+        # counter or token has moved.  (Nothing can run in between: this
+        # process services incoming traffic only from its own blocking
+        # waits.)  A token request's reply resolves the future; it
+        # executes, and counts, under its sender's origin.
+        token = None if msg.future is None else self._next_token + 1
+        origin = msg.origin if token is None else msg.src
+        self._put(msg.dst, ("req", msg.src, origin, token, msg.handle,
+                            msg.method, msg.args))
+        if token is not None:
             self._next_token = token
             self._futures[token] = msg.future
-            if not self._spawn_frames:
-                # top-level request: os_fence must wait for it, so count
-                # it outstanding until its reply (credit -1) arrives
-                self.outstanding += 1
-                self._reply_credit[token] = -1
-        else:
-            self._put(msg.dst, ("req", msg.src, msg.origin, msg.handle,
-                                msg.method, packed))
-            if self._spawn_frames:
-                # handler-spawned (forwarded) request: accounted by the
-                # ack credit this handler sends to the message's origin
-                self._spawn_frames[-1] += 1
-            elif msg.origin == self.lid:
-                self.outstanding += 1
         self.req_sent += 1
         self.sent_to[msg.dst] += 1
+        self.origin_sent[origin] += 1
         return True
 
     def round_trip(self, loc: Location, dest: int, handle, method: str, args,
@@ -777,40 +741,27 @@ class MpRuntime(BackendRuntime):
         return fut.value
 
     # -- handler execution -------------------------------------------------
-    def _execute_req(self, item) -> None:
-        _, src, origin, handle, method, packed = item
-        args = self._unpack(packed)
+    def _execute(self, item) -> None:
+        _, src, origin, token, handle, method, args = item
+        result = self._run_handler(self.loc, handle, method, args, origin)
+        # counted only once the handler has returned: a wave that meets a
+        # handler mid-flight (say, blocked in a sync RMI) must not take
+        # the requests it has yet to forward for quiescence
         self.req_executed += 1
         self.exec_from[src] += 1
-        self._spawn_frames.append(0)
-        try:
-            self._run_handler(self.loc, handle, method, args, origin)
-        finally:
-            spawned = self._spawn_frames.pop()
-        self._send_credit(origin, spawned)
-
-    def _execute_sync(self, item) -> None:
-        _, src, token, handle, method, packed = item
-        args = self._unpack(packed)
-        self.req_executed += 1
-        self.exec_from[src] += 1
-        self._spawn_frames.append(0)
-        try:
-            result = self._run_handler(self.loc, handle, method, args, src)
-        finally:
-            spawned = self._spawn_frames.pop()
-        # sync replies may ship live-storage references: under the epoch
-        # discipline a remotely-read range is not written again until the
-        # next fence, which the blocked requester reaches only after
-        # dereferencing (holders without a fence snapshot — see
-        # pack_payload)
-        self._put(src, ("reply", token,
-                        self._pack(result, src, live_ok=True), spawned))
+        self.origin_executed[origin] += 1
+        if token is not None:
+            # replies may ship live-storage references: under the epoch
+            # discipline a remotely-read range is not written again until
+            # the next fence, which the blocked requester reaches only
+            # after dereferencing (holders without a fence snapshot — see
+            # pack_payload)
+            self._put(src, ("reply", token, result), live_ok=True)
 
     # -- service engine ----------------------------------------------------
     def _next_item(self, block: bool, timeout: float):
         if self._selfq:
-            return self._selfq.popleft()
+            return _unpack_tree(self._selfq.popleft(), self.seg_cache)
         try:
             if block:
                 item = self._queues[self.lid].get(timeout=timeout)
@@ -818,9 +769,7 @@ class MpRuntime(BackendRuntime):
                 item = self._queues[self.lid].get_nowait()
         except queue_mod.Empty:
             return None
-        # peer traffic is wire-serialized; parent control messages
-        # ("stop",) arrive as plain tuples
-        return wire_loads(item) if isinstance(item, bytes) else item
+        return unpack_payload(item, self.seg_cache)
 
     def _service_one(self, block: bool = False, timeout: float = 0.02):
         """Receive and process one incoming item; returns its kind, or
@@ -832,18 +781,20 @@ class MpRuntime(BackendRuntime):
             return None
         kind = item[0]
         if kind == "req":
-            self._execute_req(item)
-        elif kind == "sync":
-            self._execute_sync(item)
+            self._execute(item)
         elif kind == "reply":
-            _, token, packed, spawned = item
-            self.outstanding += spawned + self._reply_credit.pop(token, 0)
-            self._futures.pop(token)._resolve(self._unpack(packed), 0.0)
-        elif kind == "ack":
-            self.outstanding += item[1] - 1
+            _, token, result = item
+            self._futures.pop(token)._resolve(result, 0.0)
         elif kind == "slab":
-            _, key, src, op, packed = item
-            self._slab_inbox.setdefault(key, {})[src] = (op, packed)
+            _, key, src, op, payload = item
+            self._slab_inbox.setdefault(key, {})[src] = (op, payload)
+        elif kind == "os_fence":
+            # a peer's os_fence wave: answer with the counts of the
+            # requests it originated, into its exchange inbox
+            _, origin, key = item
+            self._put(origin, ("slab", key, self.lid, "os_fence",
+                               (self.origin_sent[origin],
+                                self.origin_executed[origin])))
         elif kind == "stop":
             self._stopped = True
         return kind
@@ -927,25 +878,24 @@ class MpRuntime(BackendRuntime):
     # -- the collective primitives + the one-sided fence --------------------
     def exchange(self, loc: Location, op: str, payload, group: LocationGroup,
                  personalised: bool) -> dict:
-        """Eager point-to-point sends (shared-memory backed, a payload
-        bound for several members packed once) and a parked inbox keyed by
-        the group's exchange count: no coordinator, one queue hop per
+        """Eager point-to-point sends (shared-memory backed, an item bound
+        for several members packed once) and a parked inbox keyed by the
+        group's exchange count: no coordinator, one queue hop per
         member."""
         loc.clock += self.machine.collective_cost(len(group))
         seq = loc._coll_seq.get(group.key, 0)
         loc._coll_seq[group.key] = seq + 1
         key = (group.key, seq)
-        mine, packed = payload, None
+        mine = payload[group.index_of(self.lid)] if personalised else payload
+        packed = None
         for rank, member in enumerate(group.members):
             if member == self.lid:
-                if personalised:
-                    mine = payload[rank]
                 continue
-            if personalised:
-                packed = self._pack(payload[rank])
-            elif packed is None:
-                packed = self._pack(payload)
-            self._put(member, ("slab", key, self.lid, op, packed))
+            if personalised or packed is None:
+                piece = payload[rank] if personalised else payload
+                packed = pack_payload(("slab", key, self.lid, op, piece),
+                                      self.arena)
+            self._queues[member].put(packed)
         # a bulk round's arena channel covers the packs above only: what
         # handlers pack while this location waits retires into the epoch
         self.arena.end_channel()
@@ -954,22 +904,41 @@ class MpRuntime(BackendRuntime):
             f"collective '{op}' on {group}")
         arrived = {self.lid: mine}
         box = self._slab_inbox.pop(key, {})
-        for member, (their_op, packed) in box.items():
+        for member, (their_op, value) in box.items():
             if their_op != op:
                 raise SpmdError(
                     f"collective mismatch on {group}: location {self.lid} "
                     f"called '{op}' but location {member} called "
                     f"'{their_op}'")
-            arrived[member] = self._unpack(packed)
+            arrived[member] = value
         return arrived
+
+    def _count_waves(self, loc: Location, wave, desc: str) -> None:
+        """The counting rule both fences share (Mattern's four counters):
+        drain, then let ``wave()`` total (requests sent, requests executed)
+        over the processes it covers; done once two consecutive waves are
+        equal and unchanged.  The second wave starts after the first has
+        ended, so together they certify that nothing was in flight, and no
+        handler mid-flight, past anyone's first count."""
+        deadline = time.monotonic() + self.op_timeout
+        prev = None
+        while True:
+            self.progress(loc)
+            counts = wave()
+            if counts[0] == counts[1] and counts == prev:
+                return
+            prev = counts
+            if time.monotonic() > deadline:
+                raise SpmdError(
+                    f"location {self.lid}: {desc} never quiesced "
+                    f"(sent={counts[0]}, executed={counts[1]}) — likely "
+                    "deadlock")
 
     def fence(self, loc: Location, group: LocationGroup) -> None:
         """Counting fence: flush combining buffers (directly — coalescing
         through a node leader would be a real extra hop between processes),
-        drain, exchange (sent, executed) snapshots, and finish once the
-        group totals are equal and stable for two consecutive rounds (the
-        second round certifies no message was in flight past anyone's
-        snapshot).
+        then count waves (:meth:`_count_waves`), each one an exchange of
+        (sent, executed) snapshots over the group.
 
         Counting is per-peer and restricted to the group: each member
         contributes its sends *to members* and executions *from members*.
@@ -985,36 +954,43 @@ class MpRuntime(BackendRuntime):
             if self.nlocs == 1:
                 self.arena.advance_epoch()
             return
-        deadline = time.monotonic() + self.op_timeout
-        prev = None
-        while True:
-            self.progress(loc)
+
+        def wave():
             snap = (sum(self.sent_to[m] for m in group.members),
                     sum(self.exec_from[m] for m in group.members))
             arrived = self.exchange(loc, "fence", snap, group, False)
-            sent = sum(v[0] for v in arrived.values())
-            done = sum(v[1] for v in arrived.values())
-            if sent == done and prev == (sent, done):
-                # world quiescence: every receiver-side zero-copy view is
-                # dropped (the validity contract), so retired segments
-                # recycle.  Subgroup fences prove nothing about outside
-                # receivers, so only a world fence advances the epoch.
-                if len(group) == self.nlocs:
-                    self.arena.advance_epoch()
-                return
-            prev = (sent, done)
-            if time.monotonic() > deadline:
-                raise SpmdError(
-                    f"location {self.lid}: fence never quiesced "
-                    f"(sent={sent}, executed={done}) — likely deadlock")
+            return tuple(map(sum, zip(*arrived.values())))
+
+        self._count_waves(loc, wave, "fence")
+        # world quiescence: every receiver-side zero-copy view is dropped
+        # (the validity contract), so retired segments recycle.  Subgroup
+        # fences prove nothing about outside receivers, so only a world
+        # fence advances the epoch.
+        if len(group) == self.nlocs:
+            self.arena.advance_epoch()
 
     def os_fence(self, loc: Location) -> None:
-        """One-sided fence: weighted ack credits return to the origin, so
-        quiescence of what ``loc`` originated needs no collective."""
+        """One-sided fence: count waves (:meth:`_count_waves`) over the
+        requests ``loc`` originated, each one polling every peer for its
+        (sent, executed) counts under that origin.  Only the caller pays;
+        the peers answer from whatever wait they are in."""
         loc.flush_combining()
-        self._service_until(lambda: self.outstanding <= 0,
-                            "os_fence (one-sided quiescence of originated "
-                            "RMIs)")
+        me = self.lid
+
+        def wave():
+            self._os_waves += 1
+            key = ("os_fence", self._os_waves)
+            for peer in range(self.nlocs):
+                if peer != me:
+                    self._put(peer, ("os_fence", me, key))
+            self._service_until(
+                lambda: len(self._slab_inbox.get(key, ())) == self.nlocs - 1,
+                "os_fence counts from every peer")
+            counts = [c for _, c in self._slab_inbox.pop(key, {}).values()]
+            counts.append((self.origin_sent[me], self.origin_executed[me]))
+            return tuple(map(sum, zip(*counts)))
+
+        self._count_waves(loc, wave, "os_fence")
 
 
 # ---------------------------------------------------------------------------
@@ -1135,7 +1111,7 @@ def mp_spmd_run_detailed(fn, nlocs: int, machine, args: tuple,
         if not stop_sent:
             for q in queues:
                 try:
-                    q.put(("stop",))
+                    q.put(pickle.dumps(("stop",)))  # a packed item
                 except Exception:  # pragma: no cover - defensive
                     pass
             stop_sent = True

@@ -204,6 +204,71 @@ class TestPointToPoint:
             return val
         assert mp_run(prog, 4)[3] == 5
 
+    def test_os_fence_waits_for_a_handler_blocked_in_sync_rmi(self):
+        """A request counts as executed only once its handler returns: the
+        forward location 1's handler sends *after* its sync RMI to a busy
+        location 3 comes back is still covered by location 0's
+        ``os_fence``."""
+
+        def prog(ctx):
+            c = Relay(ctx)
+            ctx.rmi_fence()
+            if ctx.id == 0:
+                c.async_to(1, "relay")
+                ctx.os_fence()
+                got = ctx.sync_rmi(2, c.handle, "get")
+            else:
+                got = None
+            ctx.rmi_fence()
+            return got
+
+        assert mp_run(prog, 4)[0] == 7
+
+    def test_async_traffic_sends_nothing_back_to_its_sender(self):
+        """No per-request protocol traffic: location 0 receives only the
+        fence's exchange items, whatever it sent."""
+
+        def prog(ctx):
+            c = Cell(ctx)
+            ctx.rmi_fence()
+            kinds = []
+            if ctx.id == 0:
+                rt = ctx.runtime
+                real = rt._next_item
+
+                def tally(*args):
+                    item = real(*args)
+                    if item is not None:
+                        kinds.append(item[3] if item[0] == "slab" else item[0])
+                    return item
+
+                rt._next_item = tally
+                for _ in range(100):
+                    ctx.async_rmi(1, c.handle, "add", 1)
+            ctx.rmi_fence()
+            return kinds, c.value
+
+        (kinds, _), (_, value) = mp_run(prog, 2)
+        assert set(kinds) == {"fence"} and len(kinds) < 100
+        assert value == 100
+
+
+class Relay(Cell):
+    """Location 1 relays to location 2 after a sync RMI to location 3,
+    whose handler stays busy (but responsive) for about half a second."""
+
+    def relay(self):
+        ctx = self.runtime.current_location
+        ctx.sync_rmi(3, self.handle, "busy")
+        ctx.async_rmi(2, self.handle, "set", 7)
+
+    def busy(self):
+        here = self.runtime.current_location
+        t_end = time.monotonic() + 0.5
+        while time.monotonic() < t_end:
+            here.poll()
+            time.sleep(0.001)
+
 
 class TestSlabTransport:
     def test_big_array_via_shared_memory(self):
@@ -338,7 +403,7 @@ class TestFailures:
 class TestUnserializableSend:
     """A send whose payload cannot be serialized raises at the call site,
     in the sender's stack, and moves no transport state: the fence
-    counters, tokens and credits are as if the send was never issued."""
+    counters, tokens and futures are as if the send was never issued."""
 
     KINDS = ["async_rmi", "sync_rmi", "opaque_rmi"]
 
@@ -357,8 +422,8 @@ class TestUnserializableSend:
                 assert "pickle" in str(exc).lower()
                 frames = [f.name for f in traceback.extract_tb(
                     exc.__traceback__)]
-            state = (rt.req_sent, sum(rt.sent_to), rt.outstanding,
-                     rt._next_token, len(rt._futures), len(rt._reply_credit))
+            state = (rt.req_sent, sum(rt.sent_to), sum(rt.origin_sent),
+                     rt._next_token, len(rt._futures))
         t0 = time.monotonic()
         ctx.rmi_fence()
         ctx.os_fence()
@@ -376,7 +441,7 @@ class TestUnserializableSend:
         # raised under the caller's own send, not from a feeder thread
         assert frames[0] == "_prog" and kind in frames
         assert "post" in frames
-        assert state == (0, 0, 0, 0, 0, 0)
+        assert state == (0, 0, 0, 0, 0)
         for _, _, fenced_in, got in out:
             assert fenced_in < 2.0
             assert got == 0
